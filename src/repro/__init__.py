@@ -8,10 +8,9 @@ Subpackages
 ``repro.perf``      work profiles, porting specs, performance prediction
 ``repro.apps``      the four applications: lbmhd, paratec, cactus, gtc
 ``repro.experiments``  drivers regenerating every paper table and figure
+
+Subpackages are imported on first use, not here: a process-backend rank
+re-imports its program's modules, and should pay for nothing else.
 """
 
-from . import amr, apps, experiments, machine, perf, runtime
-
 __version__ = "1.0.0"
-__all__ = ["amr", "apps", "experiments", "machine", "perf", "runtime",
-           "__version__"]

@@ -1,13 +1,2 @@
-"""The four applications of the study (Table 2)."""
-
-from . import cactus, gtc, lbmhd, paratec
-
-#: Registry used by the experiment drivers.
-APPLICATIONS = {
-    "lbmhd": lbmhd,
-    "paratec": paratec,
-    "cactus": cactus,
-    "gtc": gtc,
-}
-
-__all__ = ["APPLICATIONS", "cactus", "gtc", "lbmhd", "paratec"]
+"""The four applications of the study (Table 2): ``cactus``, ``gtc``,
+``lbmhd`` and ``paratec``, each imported on first use."""

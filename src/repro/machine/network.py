@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .spec import MachineSpec, Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 GB = 1.0e9
 US = 1.0e-6
@@ -70,6 +72,7 @@ class Crossbar(TopologyModel):
         return 1.0
 
     def build_graph(self, nprocs: int) -> nx.Graph:
+        import networkx as nx
         g = nx.Graph()
         hub = ("sw", 0)
         for i in range(nprocs):
@@ -96,6 +99,7 @@ class FatTree(TopologyModel):
         return 2.0 * levels  # up to the common ancestor and back down
 
     def build_graph(self, nprocs: int) -> nx.Graph:
+        import networkx as nx
         g = nx.Graph()
         # Build a binary-ish fat tree with link capacities doubling upward
         # (the "fatness" that preserves full bisection).
@@ -148,6 +152,7 @@ class Torus2D(TopologyModel):
         return max(1.0, a / 4.0 + b / 4.0)
 
     def build_graph(self, nprocs: int) -> nx.Graph:
+        import networkx as nx
         a, b = self.dims(nprocs)
         g = nx.Graph()
         for i in range(a):

@@ -193,6 +193,10 @@ class _Shared:
 class Comm:
     """Per-rank communicator handle."""
 
+    #: whether every rank labels phases on its own transport (process
+    #: backend) instead of rank 0 labelling the one shared transport
+    _label_every_rank = False
+
     def __init__(self, rank: int, shared: _Shared,
                  replay_info: ReplayInfo | None = None):
         self.rank = rank
@@ -296,9 +300,10 @@ class Comm:
             # changes — the traffic was already accounted live.
             yield
             return
+        labels = self.rank == 0 or self._label_every_rank
         self.barrier()
         prev = self.transport.phase_label
-        if self.rank == 0:
+        if labels:
             self.transport.phase_label = label
         self.barrier()
         try:
@@ -306,7 +311,7 @@ class Comm:
                 yield
         finally:
             self.barrier()
-            if self.rank == 0:
+            if labels:
                 self.transport.phase_label = prev
             self.barrier()
 

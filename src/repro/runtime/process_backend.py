@@ -32,6 +32,13 @@ hands the application a read-only zero-copy view whose finalizer
 releases the segment, mirroring the thread backend's frozen-borrow
 ownership protocol (PR 4).
 
+Start-up
+--------
+Each rank's program (function, arguments and config, one pickle) waits
+in a shared-memory segment, so the spawned ``Process`` carries only the
+segment's name and every rank starts at once; ranks share the cores'
+BLAS threads (:func:`_blas_threads`).
+
 Failure semantics
 -----------------
 Process liveness is real: the parent supervises child sentinels.  A
@@ -51,6 +58,8 @@ the parent enforces with a typed :class:`BackendError`.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 import pickle
@@ -62,20 +71,20 @@ import time
 import uuid
 import weakref
 from dataclasses import dataclass
+from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..obs.events import CAT_BUFFER, CAT_HEALTH, CAT_PHASE, TraceEvent
+from ..obs.events import CAT_BUFFER, CAT_HEALTH, TraceEvent
 from ..obs.tracer import Tracer
-from .comm import (Comm, OnlineRecoveryError, ReplayInfo, _Barrier,
-                   _Shared)
+from .comm import Comm, OnlineRecoveryError, ReplayInfo, _Shared
 from .faults import RankKilledError
 from .sanitize import caller_site
 from .transport import (BackendError, CommRevokedError, RankFailedError,
                         RepairRecord, Transport, TransportPoisonedError,
-                        _Envelope, _array_leaves, _checksum)
+                        _Envelope, _array_leaves)
 
 #: ndarray payloads at or above this many bytes ride in shared memory;
 #: smaller ones are cheaper to pickle through the queue than to map
@@ -93,13 +102,22 @@ KILLED_EXIT = 17
 #: declaring an unexplained (non-cooperative) process death
 _SENTINEL_GRACE = 1.0
 
+#: thread-pool widths of the BLAS and OpenMP runtimes a rank may load
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+#: serializes setting and restoring :data:`BLAS_THREAD_VARS` around a
+#: rank's ``start()``, so concurrent jobs never see each other's values
+_ENV_LOCK = threading.Lock()
+
 
 def _untrack(name: str) -> None:
     """Detach one segment from this process's resource tracker.
 
-    Every ``SharedMemory`` registers itself with the spawning process's
-    resource tracker, which would double-unlink (and warn) segments
-    whose lifetime is managed explicitly by the transport.  Best-effort:
+    Every ``SharedMemory`` — created or merely attached — registers
+    itself with the resource tracker the spawned ranks share with the
+    parent, which would double-unlink (and warn about) segments whose
+    lifetime is managed explicitly by the transport.  Best-effort:
     tracker internals differ across Python patch levels.
     """
     try:  # pragma: no cover - depends on interpreter internals
@@ -138,7 +156,6 @@ def _ship(obj: Any, tp: "ProcTransport") -> Any:
             arr = np.ascontiguousarray(obj)
             name = f"{tp.shm_prefix}r{tp.rank}s{tp._ship_seq}"
             tp._ship_seq += 1
-            from multiprocessing.shared_memory import SharedMemory
             seg = SharedMemory(name=name, create=True, size=arr.nbytes)
             _untrack(name)
             view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
@@ -173,9 +190,8 @@ def _unship(wire: Any, tp: "ProcTransport") -> Any:
     kind = wire[0]
     if kind == "shm":
         _, name, shape, dtype = wire
-        from multiprocessing.shared_memory import SharedMemory
-        # Attaching does not register with the resource tracker (only
-        # create=True does), so no unregister is needed here.
+        # Attaching registers the segment with the resource tracker; the
+        # unlink in _release_segment unregisters it again.
         seg = SharedMemory(name=name)
         raw = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
         if tp.zero_copy:
@@ -210,7 +226,6 @@ def _release_wire(wire: Any) -> None:
     """Unlink the segments of a message that will never be delivered."""
     kind = wire[0]
     if kind == "shm":
-        from multiprocessing.shared_memory import SharedMemory
         try:
             seg = SharedMemory(name=wire[1])
         except FileNotFoundError:
@@ -228,19 +243,63 @@ def _release_wire(wire: Any) -> None:
         _release_wire(wire[1])
 
 
-def _sweep_segments(prefix: str) -> int:
-    """Unlink any leaked segments of one job (parent, at job end)."""
-    shm_dir = Path("/dev/shm")
-    n = 0
-    if not shm_dir.is_dir():  # pragma: no cover - non-Linux
-        return 0
-    for p in shm_dir.glob(f"{prefix}*"):
+def _write_program(name: str, program: tuple) -> None:
+    """Pickle one rank's program into a new segment (parent side); the
+    rank only attaches to it, and the job's teardown sweep unlinks it."""
+    try:
+        data = pickle.dumps(program)
+    except Exception as exc:
+        raise BackendError(
+            f"process backend requires a picklable rank function and "
+            f"arguments: {exc!r}") from exc
+    seg = SharedMemory(name=name, create=True, size=len(data))
+    _untrack(name)
+    seg.buf[:len(data)] = data
+    seg.close()
+
+
+def _read_program(name: str) -> tuple:
+    """Unpickle this rank's program from its segment (rank side)."""
+    seg = SharedMemory(name=name)
+    # Attaching registered the segment, and the rank never unlinks it:
+    # unregister, or the tracker reports it leaked at shutdown.
+    _untrack(name)
+    try:
+        return pickle.loads(seg.buf)
+    finally:
+        seg.close()
+
+
+@contextlib.contextmanager
+def _blas_threads(nprocs: int):
+    """Ranks started inside get ``cores // nprocs`` BLAS threads each.
+
+    A rank's BLAS otherwise starts a pool as wide as the host, and the
+    ranks' pools spin against each other.  Spawn copies the environment
+    at ``start()``; the parent's is restored on exit.  A caller that set
+    any of :data:`BLAS_THREAD_VARS` keeps its choice for all three.
+    """
+    with _ENV_LOCK:
+        if any(v in os.environ for v in BLAS_THREAD_VARS):
+            yield
+            return
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        os.environ.update(
+            dict.fromkeys(BLAS_THREAD_VARS, str(max(1, cpus // nprocs))))
         try:
-            p.unlink()
-            n += 1
-        except OSError:  # pragma: no cover - racing child unlink
-            pass
-    return n
+            yield
+        finally:
+            for v in BLAS_THREAD_VARS:
+                del os.environ[v]
+
+
+def _sweep_segments(prefix: str) -> None:
+    """Unlink every segment of one job left in ``/dev/shm`` (parent, at
+    teardown): the rank programs and any leaked payloads."""
+    for p in Path("/dev/shm").glob(f"{prefix}*"):
+        p.unlink(missing_ok=True)
 
 
 # -- per-process transport ----------------------------------------------------
@@ -381,67 +440,6 @@ class ProcTransport(Transport):
             wire = ("raw", _ship(item, self))
         self.inboxes[dst].put(("msg", self.epoch, src, dst, tag, wire))
 
-    # -- inbound -------------------------------------------------------------
-    def fetch(self, src: int, dst: int, tag: int,
-              timeout: float | None = None, *, control: bool = False,
-              sensitive: bool | None = None):
-        """Base fetch plus a ``sensitive`` override.
-
-        The thread backend's barrier never touches the transport, so
-        ``control=True`` fetches there ignore rank death.  Here the
-        barrier and collectives *are* control fetches, and they must
-        unwind into repair when a peer dies — ``sensitive=True`` makes
-        a control fetch failure-aware without making it recorded,
-        injected-on or consumption-counted.
-        """
-        if sensitive is None:
-            sensitive = not control
-        self._check_rank(src)
-        self._check_rank(dst)
-        if timeout is None:
-            timeout = self.timeout
-        key = (src, dst, tag)
-        cond = self._cond(key)
-        deadline = time.monotonic() + timeout
-        while True:
-            with cond:
-                ok = cond.wait_for(
-                    lambda: self._poisoned
-                    or (sensitive and self._failure_pending())
-                    or bool(self._boxes[key]),
-                    max(0.0, deadline - time.monotonic()))
-                self._raise_if_poisoned()
-                if sensitive and self._failure_pending():
-                    self.raise_rank_failed()
-                if not ok:
-                    raise TimeoutError(
-                        f"recv timeout: rank {dst} waiting on {src} "
-                        f"tag {tag}")
-                item = self._boxes[key].pop(0)
-            if not isinstance(item, _Envelope):
-                if not control:
-                    self._count_consumed(key)
-                return item
-            inj = self.injector
-            shard = self._shard(key)
-            with shard.lock:
-                expected = shard.recv_seq[key]
-            if item.seq < expected:
-                if inj is not None:
-                    inj.note("duplicate-discard", src, dst, tag,
-                             item.seq, 0)
-                continue
-            if _checksum(item.payload) != item.checksum:
-                if inj is not None:
-                    inj.note("corrupt-discard", src, dst, tag,
-                             item.seq, 0)
-                continue
-            with shard.lock:
-                shard.recv_seq[key] = item.seq + 1
-            if not control:
-                self._count_consumed(key)
-            return item.payload
-
     # -- repair plumbing -----------------------------------------------------
     def wait_repaired(self, epoch: int,
                       timeout: float) -> tuple:
@@ -494,6 +492,9 @@ class ProcComm(Comm):
     layout* is broadcast, which keeps every reduction bit-identical to
     the thread backend's rank-ordered combine.
     """
+
+    #: each process records its own traffic under its own phase label
+    _label_every_rank = True
 
     def __init__(self, rank: int, shared: _Shared,
                  replay_info: ReplayInfo | None = None):
@@ -571,35 +572,6 @@ class ProcComm(Comm):
             tp.coll_put(0, self._step, index, vals)
         return vals
 
-    # -- phases --------------------------------------------------------------
-    def phase(self, label: str):
-        """Same protocol as the base, but the phase label is set on
-        every rank's own transport — each process records its own
-        traffic and there is no rank-0-shared label to piggyback on."""
-        return self._proc_phase(label)
-
-    def _proc_phase(self, label: str):
-        import contextlib
-
-        @contextlib.contextmanager
-        def _cm():
-            if self._replay_active:
-                yield
-                return
-            self.barrier()
-            prev = self.transport.phase_label
-            self.transport.phase_label = label
-            self.barrier()
-            try:
-                with self._span(label, CAT_PHASE):
-                    yield
-            finally:
-                self.barrier()
-                self.transport.phase_label = prev
-                self.barrier()
-
-        return _cm()
-
     # -- unsupported shapes --------------------------------------------------
     def split(self, color: int, key: int | None = None) -> "Comm":
         raise BackendError(
@@ -647,7 +619,8 @@ class ProcComm(Comm):
 
 @dataclass
 class _WorkerConfig:
-    """Everything one rank process needs, shipped through spawn pickle."""
+    """What one rank process needs besides its function and arguments;
+    pickled together with them into the rank's program segment."""
 
     nprocs: int
     timeout: float
@@ -660,9 +633,9 @@ class _WorkerConfig:
     epoch: int = 0
     injector: Any = None
     replay: ReplayInfo | None = None
-    trace: bool = False
-    trace_epoch: float = 0.0
+    #: spool directory of a traced job; None when tracing is off
     trace_dir: str | None = None
+    trace_epoch: float = 0.0
     clocks: Any = None
     advance_clocks: bool = False
 
@@ -733,9 +706,10 @@ def _flush_and_exit(parent_q, code: int) -> None:
     os._exit(code)
 
 
-def _worker_main(rank: int, fn: Callable, extra: tuple,
-                 cfg: _WorkerConfig, inboxes: list, parent_q) -> None:
+def _worker_main(rank: int, program: str, inboxes: list,
+                 parent_q) -> None:
     """Entry point of one rank process (spawn start method)."""
+    fn, extra, cfg = _read_program(program)
     tp = ProcTransport(rank, cfg.nprocs, inboxes, parent_q,
                        shm_prefix=cfg.shm_prefix, epoch=cfg.epoch,
                        timeout=cfg.timeout, injector=cfg.injector,
@@ -744,7 +718,7 @@ def _worker_main(rank: int, fn: Callable, extra: tuple,
     if cfg.online:
         tp.enable_online()
     tracer = None
-    if cfg.trace:
+    if cfg.trace_dir is not None:
         tracer = Tracer(cfg.nprocs, clocks=cfg.clocks,
                         advance_clocks=cfg.advance_clocks)
         # perf_counter is CLOCK_MONOTONIC on Linux — one timebase
@@ -764,18 +738,17 @@ def _worker_main(rank: int, fn: Callable, extra: tuple,
         if getattr(ck, "injector", None) is None:
             ck.injector = cfg.injector
     tp.start_pump()
-    shared = _Shared(cfg.nprocs, tp, _Barrier(cfg.nprocs, cfg.timeout),
-                     threading.Lock(), [None] * cfg.nprocs, cfg.timeout,
-                     list(range(cfg.nprocs)), cfg.epoch,
-                     list(range(cfg.spares_left)), None)
+    shared = _Shared.create(cfg.nprocs, tp, cfg.timeout)
+    shared.epoch = cfg.epoch
+    shared.spares = list(range(cfg.spares_left))
     comm = ProcComm(rank, shared, replay_info=cfg.replay)
     try:
         t_body = time.perf_counter()
         result = fn(comm, *extra)
         t_body = time.perf_counter() - t_body
         report = _build_report(tp, fn, tracer)
-        # Kernel-path wall time: the rank program only, excluding
-        # interpreter spawn/import — what backend benchmarks compare.
+        # Kernel-path wall time: the rank program, excluding this
+        # rank's own spawn and imports (not waits on slower peers).
         report["body_seconds"] = t_body
         try:
             pickle.dumps(result)
@@ -906,12 +879,15 @@ def run_process_job(job, fn: Callable, args: tuple,
     tp = job.transport
     tp.clear_poison()
     tp.revive_all()
-    try:
-        pickle.dumps((fn, args, rank_args))
-    except Exception as exc:
-        raise BackendError(
-            f"process backend requires a picklable rank function and "
-            f"arguments: {exc!r}") from exc
+
+    ctx = mp.get_context("spawn")
+    inboxes = [ctx.Queue() for _ in range(nprocs)]
+    parent_q = ctx.Queue()
+    shm_prefix = f"repro{uuid.uuid4().hex[:12]}"
+    program_ids = itertools.count()
+    trace_dir = None
+    if tp.tracer.enabled:
+        trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
 
     # `python - <<EOF` and REPL parents carry a pseudo-path __main__
     # (`__file__ == '<stdin>'`, no spec); spawn's bootstrap would try
@@ -927,41 +903,41 @@ def run_process_job(job, fn: Callable, args: tuple,
     if hide_main:
         del main_mod.__file__
 
-    ctx = mp.get_context("spawn")
-    inboxes = [ctx.Queue() for _ in range(nprocs)]
-    parent_q = ctx.Queue()
-    shm_prefix = f"repro{uuid.uuid4().hex[:12]}"
-    trace_dir = None
-    if tp.tracer.enabled:
-        trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
+    def stage(rank: int, epoch: int, spares_left: int,
+              replay: ReplayInfo | None) -> str:
+        """Write one rank's program to a new segment; return its name.
 
-    def make_cfg(epoch: int, spares_left: int,
-                 replay: ReplayInfo | None) -> _WorkerConfig:
+        ``fn`` and the config share the injector and the checkpointer;
+        one pickle keeps each of them one object in the rank.  A
+        replacement is pickled when it is respawned, so it sees the
+        parent's merged state (an injector whose kill already fired).
+        """
         tracer = tp.tracer
-        return _WorkerConfig(
+        cfg = _WorkerConfig(
             nprocs=nprocs, timeout=tp.timeout, zero_copy=tp.zero_copy,
             sanitize=tp.sanitize, online=tp.online,
             log_limit=tp.log_limit, spares_left=spares_left,
             shm_prefix=shm_prefix, epoch=epoch, injector=tp.injector,
-            replay=replay, trace=tracer.enabled,
+            replay=replay, trace_dir=trace_dir,
             trace_epoch=getattr(tracer, "epoch", 0.0),
-            trace_dir=trace_dir,
             clocks=getattr(tracer, "clocks", None),
             advance_clocks=getattr(tracer, "advance_clocks", False))
-
-    def spawn(rank: int, epoch: int, spares_left: int,
-              replay: ReplayInfo | None):
         extra = rank_args[rank] if rank_args is not None else args
-        cfg = make_cfg(epoch, spares_left, replay)
+        name = f"{shm_prefix}p{next(program_ids)}"
+        _write_program(name, (fn, extra, cfg))
+        return name
+
+    def launch(rank: int, program: str):
         p = ctx.Process(
             target=_worker_main,
-            args=(rank, fn, extra, cfg, inboxes, parent_q),
+            args=(rank, program, inboxes, parent_q),
             name=f"repro-rank{rank}", daemon=True)
-        p.start()
+        with _blas_threads(nprocs):
+            p.start()
         return p
 
     spares_left = job.spares
-    procs = {r: spawn(r, 0, spares_left, None) for r in range(nprocs)}
+    procs: dict = {}
     live = set(range(nprocs))
     results: list = [None] * nprocs
     errors: list = [None] * nprocs
@@ -970,7 +946,6 @@ def run_process_job(job, fn: Callable, args: tuple,
     suspect_since: dict[int, float] = {}
     joins: dict[int, dict[int, tuple]] = {}
     trace_paths: list[str] = []
-    deadline = time.monotonic() + job.join_timeout
 
     def note_death(rank: int, step, reason: str) -> None:
         dead_now.add(rank)
@@ -1032,7 +1007,8 @@ def run_process_job(job, fn: Callable, args: tuple,
         for d in lost:
             errors[d] = errors[d] or RankKilledError(d, resume)
             replay = ReplayInfo(d, rollback, resume, {})
-            procs[d] = spawn(d, repair_epoch, spares_left, replay)
+            procs[d] = launch(d, stage(d, repair_epoch, spares_left,
+                                       replay))
             live.add(d)
             reported.discard(d)
             suspect_since.pop(d, None)
@@ -1040,73 +1016,84 @@ def run_process_job(job, fn: Callable, args: tuple,
         _broadcast(inboxes, survivors,
                    ("repaired", repair_epoch, record, spares_left))
 
-    while live:
-        try:
-            item = parent_q.get(timeout=0.2)
-        except queue_mod.Empty:
-            now = time.monotonic()
-            for rank in sorted(live):
-                p = procs[rank]
-                if p.is_alive() or rank in reported:
-                    suspect_since.pop(rank, None)
-                    continue
-                first = suspect_since.setdefault(rank, now)
-                if now - first >= _SENTINEL_GRACE:
-                    # Died without a last word (SIGKILL, hard crash):
-                    # treat as a fail-stop loss, same as an injected
-                    # kill — survivors repair or the error surfaces.
-                    suspect_since.pop(rank, None)
-                    reported.add(rank)
-                    errors[rank] = RankKilledError(rank, -1)
-                    note_death(rank, None,
-                               f"process exited (code {p.exitcode})")
-            if now >= deadline:
-                fail_job("job join timeout")
-                break
-            continue
-        kind = item[0]
-        if kind == "exit":
-            _, rank, result, report = item
-            results[rank] = result
-            take_report(rank, report)
-            live.discard(rank)
-        elif kind == "dying":
-            _, rank, step, report = item
-            errors[rank] = RankKilledError(rank, step)
-            take_report(rank, report)
-            note_death(rank, step, "injected kill")
-        elif kind == "error":
-            _, rank, exc, report = item
-            errors[rank] = exc
-            take_report(rank, report)
-            live.discard(rank)
-            tp.poison(f"rank {rank} failed: {exc!r}")
-            _broadcast(inboxes, live,
-                       ("poison", f"rank {rank} failed: {exc!r}"))
-        elif kind == "join":
-            _, rank, repair_epoch, resume, rollback, nb = item
-            joins.setdefault(repair_epoch, {})[rank] = \
-                (resume, rollback, nb)
-            if set(joins[repair_epoch]) == live and dead_now:
-                do_repair(repair_epoch)
-
-    # -- teardown ------------------------------------------------------------
-    if hide_main:
-        main_mod.__file__ = main_file
-    for p in procs.values():
-        p.join(timeout=5.0)
-    stragglers = [p for p in procs.values() if p.is_alive()]
-    for p in stragglers:
-        p.terminate()
-        p.join(timeout=2.0)
-    for q in [*inboxes, parent_q]:
-        try:
-            q.close()
-            q.cancel_join_thread()
-        except Exception:  # pragma: no cover - already closed
-            pass
-    _merge_trace(job, trace_paths)
-    _sweep_segments(shm_prefix)
+    try:
+        # Every initial pickle is made before the first start: a rank
+        # program that cannot pickle fails here, before any process runs.
+        programs = [stage(r, 0, spares_left, None) for r in range(nprocs)]
+        for r, program in enumerate(programs):
+            procs[r] = launch(r, program)
+        deadline = time.monotonic() + job.join_timeout
+        while live:
+            try:
+                item = parent_q.get(timeout=0.2)
+            except queue_mod.Empty:
+                now = time.monotonic()
+                for rank in sorted(live):
+                    p = procs[rank]
+                    if p.is_alive() or rank in reported:
+                        suspect_since.pop(rank, None)
+                        continue
+                    first = suspect_since.setdefault(rank, now)
+                    if now - first >= _SENTINEL_GRACE:
+                        # Died without a last word (SIGKILL, hard
+                        # crash): treat as a fail-stop loss, same as an
+                        # injected kill — survivors repair or the error
+                        # surfaces.
+                        suspect_since.pop(rank, None)
+                        reported.add(rank)
+                        errors[rank] = RankKilledError(rank, -1)
+                        note_death(rank, None,
+                                   f"process exited (code {p.exitcode})")
+                if now >= deadline:
+                    fail_job("job join timeout")
+                    break
+                continue
+            kind = item[0]
+            if kind == "exit":
+                _, rank, result, report = item
+                results[rank] = result
+                take_report(rank, report)
+                live.discard(rank)
+            elif kind == "dying":
+                _, rank, step, report = item
+                errors[rank] = RankKilledError(rank, step)
+                take_report(rank, report)
+                note_death(rank, step, "injected kill")
+            elif kind == "error":
+                _, rank, exc, report = item
+                errors[rank] = exc
+                take_report(rank, report)
+                live.discard(rank)
+                fail_job(f"rank {rank} failed: {exc!r}")
+            elif kind == "join":
+                _, rank, repair_epoch, resume, rollback, nb = item
+                joins.setdefault(repair_epoch, {})[rank] = \
+                    (resume, rollback, nb)
+                if set(joins[repair_epoch]) == live and dead_now:
+                    do_repair(repair_epoch)
+    except BaseException as exc:
+        # The parent itself failed (a start that raised, an unpicklable
+        # replacement, an interrupt): unwind every rank already running.
+        if procs:
+            fail_job(f"job aborted in the parent: {exc!r}")
+        raise
+    finally:
+        if hide_main:
+            main_mod.__file__ = main_file
+        for p in procs.values():
+            p.join(timeout=5.0)
+        stragglers = [p for p in procs.values() if p.is_alive()]
+        for p in stragglers:
+            p.terminate()
+            p.join(timeout=2.0)
+        for q in [*inboxes, parent_q]:
+            try:
+                q.close()
+                q.cancel_join_thread()
+            except Exception:  # pragma: no cover - already closed
+                pass
+        _merge_trace(job, trace_paths)
+        _sweep_segments(shm_prefix)
 
     # -- error reporting (mirrors ParallelJob.run) ---------------------------
     from .sanitize import enrich_readonly_error

@@ -750,7 +750,16 @@ class Transport:
                 self._consumed[key] += 1
 
     def fetch(self, src: int, dst: int, tag: int,
-              timeout: float | None = None, *, control: bool = False):
+              timeout: float | None = None, *, control: bool = False,
+              sensitive: bool | None = None):
+        """Next message on ``(src, dst, tag)``, blocking up to ``timeout``.
+
+        A ``sensitive`` fetch (default: not ``control``) unwinds when a
+        rank fails; the process backend's barrier and collectives are
+        control fetches that must, so they pass ``sensitive=True``.
+        """
+        if sensitive is None:
+            sensitive = not control
         self._check_rank(src)
         self._check_rank(dst)
         if timeout is None:
@@ -762,11 +771,11 @@ class Transport:
             with cond:
                 ok = cond.wait_for(
                     lambda: self._poisoned
-                    or (not control and self._failure_pending())
+                    or (sensitive and self._failure_pending())
                     or bool(self._boxes[key]),
                     max(0.0, deadline - time.monotonic()))
                 self._raise_if_poisoned()
-                if not control and self._failure_pending():
+                if sensitive and self._failure_pending():
                     self.raise_rank_failed()
                 if not ok:
                     raise TimeoutError(

@@ -5,8 +5,15 @@ reference (pytest imports this module as ``tests.runtime.<name>`` and the
 parent's ``sys.path`` travels with each worker).
 """
 
+import multiprocessing
+import multiprocessing.reduction
 import os
 import pickle
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from multiprocessing.process import BaseProcess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +22,30 @@ from repro.machine.platforms import ES
 from repro.resilience.checkpoint import Checkpointer
 from repro.runtime import BackendError, ParallelJob, Transport
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.process_backend import SHM_MIN_BYTES
+from repro.runtime.process_backend import BLAS_THREAD_VARS, SHM_MIN_BYTES
 from repro.runtime.virtual_time import VirtualClocks
+
+_ROOT = Path(__file__).resolve().parents[2]
+
+#: what a rank of an LBMHD job must not import: it pays for every module
+#: it loads before its program can start
+_HEAVY_MODULES = ("networkx", "scipy", "repro.apps.gtc",
+                  "repro.apps.paratec", "repro.amr", "repro.experiments")
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_ROOT / "src"), str(_ROOT)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], cwd=_ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def _shm_entries() -> set:
+    return set(Path("/dev/shm").glob("repro*"))
 
 
 def _primitive_ring(comm):
@@ -59,6 +88,110 @@ class TestProcessRanks:
         # zero-copy transport must not change what the app "sent"
         assert tp_p.message_count() == tp_t.message_count()
         assert tp_p.total_bytes() == tp_t.total_bytes()
+
+
+def _array_sum(comm, arr):
+    return float(arr.sum())
+
+
+def _blas_env(comm):
+    return tuple(os.environ.get(v) for v in BLAS_THREAD_VARS)
+
+
+class TestStartup:
+    def test_rank_imports_stay_lean(self):
+        code = ("import sys\n"
+                "import repro.runtime.process_backend\n"
+                "import repro.apps.lbmhd.parallel\n"
+                f"print(*[m for m in {_HEAVY_MODULES!r} "
+                f"if m in sys.modules])\n")
+        run = _fresh_python(code)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == []
+
+    def test_spawn_pickles_never_carry_the_program(self, monkeypatch):
+        # A Process pickle above the 64 KiB pipe buffer makes start()
+        # wait until the child has imported its modules and read it.
+        sizes = []
+        dump = multiprocessing.reduction.dump
+
+        def measured_dump(obj, file, protocol=None):
+            start = file.tell()
+            dump(obj, file, protocol)
+            if isinstance(obj, BaseProcess):
+                sizes.append(file.tell() - start)
+
+        monkeypatch.setattr(multiprocessing.reduction, "dump",
+                            measured_dump)
+        big = np.arange(1 << 20, dtype=np.float64)        # 8 MiB
+        out = ParallelJob(2, backend="process").run(_array_sum, big)
+        assert out == [float(big.sum())] * 2
+        assert len(sizes) == 2
+        assert max(sizes) < 64 * 1024
+
+    def test_ranks_get_one_blas_thread_per_core(self, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        usable = (len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        before = dict(os.environ)
+        out = ParallelJob(2, backend="process").run(_blas_env)
+        assert out == [(str(max(1, usable // 2)),) * 3] * 2
+        assert dict(os.environ) == before
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        before = dict(os.environ)
+        out = ParallelJob(2, backend="process").run(_blas_env)
+        assert out == [("3", None, None)] * 2
+        assert dict(os.environ) == before
+
+        # Concurrent jobs (campaign pool threads) never see each other's
+        # width, and none of them leaves one behind.
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        before = dict(os.environ)
+        sizes = (1, 2, 1)
+        with ThreadPoolExecutor(len(sizes)) as pool:
+            futures = [pool.submit(ParallelJob(n, backend="process").run,
+                                   _blas_env) for n in sizes]
+            outs = [f.result(timeout=120) for f in futures]
+        for n, out in zip(sizes, outs):
+            assert out == [(str(max(1, usable // n)),) * 3] * n
+        assert dict(os.environ) == before
+
+
+class TestTeardown:
+    def test_failed_start_stops_started_ranks(self, monkeypatch):
+        shm_before = _shm_entries()
+        env_before = dict(os.environ)
+        start = BaseProcess.start
+        started = []
+
+        def flaky_start(proc):
+            if started:
+                raise OSError("injected start failure")
+            started.append(proc)
+            start(proc)
+
+        monkeypatch.setattr(BaseProcess, "start", flaky_start)
+        with pytest.raises(OSError, match="injected start failure"):
+            ParallelJob(2, backend="process").run(_primitive_ring)
+        monkeypatch.undo()
+        assert len(started) == 1, "rank 0 must have been running"
+        assert multiprocessing.active_children() == []
+        assert _shm_entries() <= shm_before
+        assert dict(os.environ) == env_before
+
+    def test_resource_tracker_stays_balanced(self):
+        # Rank programs and halo payloads both ride shared memory; an
+        # unbalanced register/unregister makes the tracker warn at exit.
+        code = ("from repro.runtime import ParallelJob\n"
+                "from tests.runtime.test_process_backend import "
+                "_big_exchange\n"
+                "print(ParallelJob(2, backend='process')"
+                ".run(_big_exchange))\n")
+        run = _fresh_python(code)
+        assert run.returncode == 0, run.stderr
+        assert "resource_tracker" not in run.stderr, run.stderr
 
 
 class TestBackendErrors:
