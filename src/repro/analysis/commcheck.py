@@ -3,10 +3,10 @@
 SPMD deadlocks in this codebase come in three shapes, each of which is
 visible statically in a driver's call structure:
 
-* **rank-divergent collectives** — a collective (or barrier, or the
-  barrier-bearing ``comm.phase``) reachable under an ``if`` whose test
-  depends on the rank.  Some ranks enter the collective, some don't;
-  the job hangs until the recv/barrier timeout.
+* **rank-divergent collectives** — a collective (or barrier)
+  reachable under an ``if`` whose test depends on the rank.  Some
+  ranks enter the collective, some don't; the job hangs until the
+  recv/barrier timeout.
 * **unmatched tags** — a literal tag used by ``send`` with no ``recv``
   anywhere in the module (or vice versa): the payload queues forever
   and the would-be receiver blocks on a channel nobody posts to.
@@ -34,10 +34,10 @@ from .engine import LintRule, register
 from .findings import Finding
 from .rules import dotted_name
 
-#: collective operations (comm.phase enters/leaves through barriers)
+#: collective operations (``comm.phase`` only labels a rank's traffic)
 COLLECTIVE_ATTRS = frozenset({
     "barrier", "allreduce", "allgather", "alltoall", "bcast", "gather",
-    "split", "phase", "sync",
+    "split", "sync",
 })
 
 #: collectives recognised on any receiver (barrier semantics are

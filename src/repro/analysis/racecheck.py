@@ -344,7 +344,7 @@ _MUTATING_METHODS = frozenset({"fill", "sort", "put", "itemset",
 #: point after which a previously sent buffer may be touched again
 _ACK_ATTRS = frozenset({"recv", "sendrecv", "exchange", "barrier",
                         "allreduce", "allgather", "alltoall", "bcast",
-                        "gather", "phase", "sync"})
+                        "gather", "sync"})
 
 
 def _call_name(node: ast.Call) -> str:
@@ -445,8 +445,8 @@ class SendThenMutateRule(LintRule):
     description = ("array mutated after being handed to `send` with no "
                    "intervening acknowledgement")
     hint = ("a zero-copy send lends the array to its receivers; wait "
-            "for an ack (a recv, a collective, or `comm.phase`) before "
-            "writing to it again — or send an explicit copy")
+            "for an ack (a recv or a collective) before writing to it "
+            "again — or send an explicit copy")
 
     def check(self, tree: ast.AST, path: str,
               source: str) -> Iterator[Finding]:

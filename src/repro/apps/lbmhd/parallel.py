@@ -372,10 +372,9 @@ def _lbmhd_rank_body(comm: Comm, rho, u, B, lattice, tau, tau_m,
             state.f[(Ellipsis,) + inter] = f_s
             state.g[(Ellipsis,) + inter] = g_s
         if monitor is not None and monitor.due(step_index):
-            # Uniform condition across ranks, so the phase's entry
-            # barrier is collective-safe; labeling the watchdog
-            # reductions keeps them out of the step phases'
-            # attribution in `repro report`.
+            # Uniform condition across ranks, so every rank joins the
+            # reductions; the label keeps these watchdog reductions out
+            # of the step phases' attribution in `repro report`.
             with comm.phase("diagnostics"):
                 monitor.guard_finite(step_index, "lbmhd.finite",
                                      state.f, state.g)

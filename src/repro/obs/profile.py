@@ -68,7 +68,7 @@ WAIT_COLLECTIVE = "collective"
 WAIT_KINDS = (WAIT_LATE_SENDER, WAIT_LATE_RECEIVER, WAIT_COLLECTIVE)
 
 #: residual bucket for comm/sync time outside any application phase
-#: (phase-entry/exit barriers, monitor traffic in un-annotated code)
+#: (set-up and result collectives, monitor traffic in un-annotated code)
 BETWEEN_PHASES = "(between-phases)"
 
 #: collective span names emitted by Comm (matches analysis.tracecheck)

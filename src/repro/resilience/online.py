@@ -220,6 +220,9 @@ class OnlineRunner:
         PR 1/3 semantics and propagate to :class:`ResilientJob`.
         """
         comm = self.comm
+        # Repair needs all survivors in the step a peer died in: one that
+        # dies in step k passed step k-1's barrier, none pass step k's.
+        closes_steps = comm.transport.online or self.on_shrink is not None
         step, catchup = self._resume_point()
         while step < self.nsteps:
             if catchup is not None and step >= catchup:
@@ -230,6 +233,8 @@ class OnlineRunner:
             comm.begin_step(step)
             try:
                 body(step)
+                if closes_steps:
+                    comm.barrier()
                 self._maybe_save(step)
             except (RankFailedError, CommRevokedError) as exc:
                 step = self._recover(exc, step)

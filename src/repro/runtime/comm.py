@@ -193,10 +193,6 @@ class _Shared:
 class Comm:
     """Per-rank communicator handle."""
 
-    #: whether every rank labels phases on its own transport (process
-    #: backend) instead of rank 0 labelling the one shared transport
-    _label_every_rank = False
-
     def __init__(self, rank: int, shared: _Shared,
                  replay_info: ReplayInfo | None = None):
         self.rank = rank
@@ -288,40 +284,33 @@ class Comm:
     # -- phases --------------------------------------------------------------
     @contextlib.contextmanager
     def phase(self, label: str):
-        """Label subsequent traffic for per-phase accounting.
+        """Label this rank's subsequent traffic for per-phase accounting.
 
-        The label is global to the job (SPMD: all ranks enter the same
-        phase); entering is synchronized with a barrier so no rank's traffic
-        leaks across labels.  Each rank's stay in the phase is emitted as
-        one tracer span.
+        The label is this rank's alone (:attr:`Transport.phase_label`),
+        so a phase synchronizes nothing: ranks order themselves only
+        through their own messages and collectives.  Each rank's stay in
+        the phase is emitted as one tracer span.
         """
         if self._replay_active:
             # Catch-up replay is single-rank: no barriers, no label
             # changes — the traffic was already accounted live.
             yield
             return
-        labels = self.rank == 0 or self._label_every_rank
-        self.barrier()
         prev = self.transport.phase_label
-        if labels:
-            self.transport.phase_label = label
-        self.barrier()
+        self.transport.phase_label = label
         try:
             with self._span(label, CAT_PHASE):
                 yield
         finally:
-            self.barrier()
-            if labels:
-                self.transport.phase_label = prev
-            self.barrier()
+            self.transport.phase_label = prev
 
     @contextlib.contextmanager
     def region(self, label: str):
-        """Unsynchronized sub-phase span on this rank only (no barriers).
+        """Sub-phase span on this rank only; traffic keeps its phase label.
 
         For fine-grained tagging inside a :meth:`phase` — e.g. the
-        transpose stages of a parallel FFT — where a barrier per label
-        would change the program being measured.
+        transpose stages of a parallel FFT — whose traffic should still
+        count toward the enclosing phase.
         """
         with self._span(label, "region"):
             yield
@@ -709,7 +698,6 @@ class Comm:
         # Arm the new barrier for a possible second failure, then lift
         # the failure state *before* anyone resumes normal traffic.
         tp.dead_callbacks[:] = [new_shared.barrier.abort]
-        tp.phase_label = ""
         tp.revive_all()
         if mode == "respawn":
             for d in lost:

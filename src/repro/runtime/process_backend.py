@@ -71,6 +71,7 @@ import time
 import uuid
 import weakref
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -331,7 +332,6 @@ class ProcTransport(Transport):
         self._future: list = []
         self._notices: list = []
         self._notice_cond = threading.Condition()
-        self._pump_stop = threading.Event()
         self._pump_thread: threading.Thread | None = None
         #: id(mapped view) -> (segment name, weakref); filled by
         #: ``_unship`` under tracing so receiver-side reads of a
@@ -362,28 +362,32 @@ class ProcTransport(Transport):
 
     # -- inbox pump ----------------------------------------------------------
     def start_pump(self) -> None:
-        t = threading.Thread(target=self._pump_loop,
+        self._wake = os.pipe()          # one byte stops the pump
+        t = threading.Thread(target=self._pump_loop, args=(self._wake[0],),
                              name=f"pump-r{self.rank}", daemon=True)
         self._pump_thread = t
         t.start()
 
     def stop_pump(self) -> None:
-        self._pump_stop.set()
-        if self._pump_thread is not None:
-            self._pump_thread.join(timeout=2.0)
+        """Wake the pump, join it and close its wake pipe (idempotent)."""
+        t, self._pump_thread = self._pump_thread, None
+        if t is None:
+            return
+        os.write(self._wake[1], b"\0")
+        t.join(timeout=2.0)
+        for fd in self._wake:
+            os.close(fd)
 
-    def _pump_loop(self) -> None:
+    def _pump_loop(self, wake_fd: int) -> None:
         inbox = self.inboxes[self.rank]
-        while not self._pump_stop.is_set():
+        while True:
             try:
-                # Poll the pipe lock-free, then take the reader lock only
-                # when bytes are waiting.  A blocking get(timeout=...)
-                # would hold the lock through the idle window, and a rank
-                # that dies there (injected kill, SIGKILL) abandons it —
-                # permanently deadlocking the respawned replacement that
-                # inherits this inbox.
-                if not inbox._reader.poll(0.1):
-                    continue
+                # Wait on both pipes without the reader lock; take it
+                # only once bytes are waiting.  A lock held while idle is
+                # abandoned by a rank that dies (injected kill, SIGKILL),
+                # deadlocking the replacement that inherits this inbox.
+                if wake_fd in wait([inbox._reader, wake_fd]):
+                    return
                 item = inbox.get_nowait()
             except queue_mod.Empty:
                 continue
@@ -475,7 +479,6 @@ class ProcTransport(Transport):
                 shard.send_seq.clear()
                 shard.recv_seq.clear()
         self.repairs.append(record)
-        self.phase_label = ""
         self.revive_all()
 
 
@@ -492,9 +495,6 @@ class ProcComm(Comm):
     layout* is broadcast, which keeps every reduction bit-identical to
     the thread backend's rank-ordered combine.
     """
-
-    #: each process records its own traffic under its own phase label
-    _label_every_rank = True
 
     def __init__(self, rank: int, shared: _Shared,
                  replay_info: ReplayInfo | None = None):

@@ -305,7 +305,7 @@ class MessageRecord:
 
 @dataclass(frozen=True)
 class CollectiveRecord:
-    """One collective operation (counted once per call site, not per rank)."""
+    """One rank's call of a collective: a 4-rank allreduce is 4 records."""
 
     kind: str                      # "allreduce", "alltoall", "bcast", ...
     nprocs: int
@@ -472,8 +472,7 @@ class Transport:
         self._poison_reason = ""
         self.messages: list[MessageRecord] = []
         self.collectives: list[CollectiveRecord] = []
-        #: current phase label, set by Comm.phase(...) context manager
-        self.phase_label: str = ""
+        self._label = threading.local()
         self.recording: bool = True
         # -- online-recovery state (PR 6) --------------------------------
         #: heartbeat failure detector; per-rank seeded timeouts
@@ -522,6 +521,16 @@ class Transport:
         self.sanitize = True
         self.pool.clear()
         self.pool.sanitize = True
+
+    @property
+    def phase_label(self) -> str:
+        """The calling rank's ``Comm.phase`` label, kept per thread (a
+        thread rank is one thread; a process rank records from one)."""
+        return getattr(self._label, "text", "")
+
+    @phase_label.setter
+    def phase_label(self, label: str) -> None:
+        self._label.text = label
 
     def _shard(self, key: tuple[int, int, int]) -> _ChannelShard:
         return self._shards[hash(key) % _NSHARDS]
@@ -662,7 +671,6 @@ class Transport:
                 shard.send_seq.clear()
                 shard.recv_seq.clear()
                 shard.conds.clear()
-        self.phase_label = ""
 
     def _raise_if_poisoned(self) -> None:
         if self._poisoned:

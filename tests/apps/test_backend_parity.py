@@ -5,6 +5,8 @@ backend bit for bit *and* move exactly the same logical traffic — the
 zero-copy transport is an implementation detail, not a semantic change.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from repro.apps.cactus.parallel import run_parallel as cactus_parallel
@@ -19,7 +21,14 @@ from repro.runtime import Transport
 
 
 def _traffic(tp: Transport) -> tuple:
-    return (tp.message_count(), tp.total_bytes(), len(tp.collectives))
+    """Totals plus the per-phase multisets of message and collective
+    records: each rank's traffic must carry its own phase label."""
+    messages = Counter((m.phase, m.src, m.dst, m.tag, m.nbytes,
+                        m.onesided, m.resend) for m in tp.messages)
+    collectives = Counter((c.kind, c.phase, c.nprocs, c.nbytes_per_rank)
+                          for c in tp.collectives)
+    return (tp.message_count(), tp.total_bytes(), len(tp.collectives),
+            messages, collectives)
 
 
 class TestBackendParity:

@@ -8,6 +8,8 @@ loads on nobody but the replacement, and shrink must redistribute the
 domain and converge to the same physics (modulo reduction order).
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -32,14 +34,15 @@ NSTEPS = 6
 
 def _run_toy(nprocs, *, ckpt_dir=None, kill=None, spares=0,
              shrink=False, policy=None, resilient=False,
-             nsteps=NSTEPS):
+             nsteps=NSTEPS, coupled=True, lag=0.0):
     """Periodic 1D diffusion, block-distributed over a ring.
 
     Each step exchanges one boundary cell with each neighbour, applies
-    the 3-point stencil, and couples everyone through an allreduce.
-    The global update is decomposition-independent, so a shrunken rerun
-    lands on the same field (up to reduction order) and a respawned one
-    is bitwise identical.  Returns (assembled field, transport, ckpt,
+    the 3-point stencil, and (``coupled``) couples everyone through an
+    allreduce.  The global update is decomposition-independent, so a
+    shrunken rerun lands on the same field (up to reduction order) and
+    a respawned one is bitwise identical.  ``lag`` seconds delay the
+    planned kill.  Returns (assembled field, transport, ckpt,
     injector).
     """
     tr = Transport(nprocs)
@@ -80,6 +83,8 @@ def _run_toy(nprocs, *, ckpt_dir=None, kill=None, spares=0,
 
         def body(step):
             if injector is not None:
+                if (comm.rank, step) == kill:
+                    time.sleep(lag)
                 injector.tick(comm.rank, step)
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
@@ -90,8 +95,9 @@ def _run_toy(nprocs, *, ckpt_dir=None, kill=None, spares=0,
             ext = np.concatenate(([from_left], x, [from_right]))
             x[...] = ext[1:-1] + 0.25 * (ext[:-2] - 2.0 * ext[1:-1]
                                          + ext[2:])
-            total = comm.allreduce(float(x.sum()))
-            x[...] += 1e-4 * total / NCELLS
+            if coupled:
+                total = comm.allreduce(float(x.sum()))
+                x[...] += 1e-4 * total / NCELLS
 
         runner = OnlineRunner(
             comm, nsteps=nsteps, checkpoint=ckpt, checkpoint_every=2,
@@ -145,6 +151,19 @@ class TestRespawn:
         assert rec.rolled_back == (0, 1, 2)
         assert 3 in rec.survivors
         assert set(ckpt.load_counts) == {1}
+
+    def test_survivors_resume_one_step_without_collectives(self,
+                                                           tmp_path):
+        # No allreduce, and rank 1 lags into its kill: only the runner's
+        # step barrier stops rank 3 (no ring neighbour of rank 1) from
+        # finishing the kill step before ranks 0 and 2 fail in it, which
+        # would split the survivors across two resume steps.
+        clean, *_ = _run_toy(4, coupled=False)
+        got, tr, _, _ = _run_toy(4, ckpt_dir=tmp_path, kill=(1, 3),
+                                 spares=1, coupled=False, lag=0.2)
+        assert np.array_equal(got, clean)          # bitwise
+        (rec,) = tr.repairs
+        assert rec.resume_step == 3
 
     def test_policy_records_online_respawn_event(self, tmp_path):
         policy = RecoveryPolicy()

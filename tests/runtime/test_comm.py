@@ -6,6 +6,23 @@ import pytest
 from repro.runtime import ParallelJob, Transport
 
 
+def _phases_out_of_step(comm):
+    """Rank 1 answers inside phase ``a`` what rank 0 asks inside ``b``.
+
+    Module-level so the process backend can pickle it by reference.
+    Only a phase that synchronized the ranks could deadlock it.
+    """
+    with comm.phase("a"):
+        if comm.rank == 1:
+            got = comm.recv(source=0, tag=1)
+            comm.send(got + 1.0, dest=0, tag=2)
+    with comm.phase("b"):
+        if comm.rank == 0:
+            comm.send(np.zeros(4), dest=1, tag=1)
+            return comm.recv(source=1, tag=2)
+    return None
+
+
 class TestPointToPoint:
     def test_send_recv_array(self):
         def prog(comm):
@@ -222,3 +239,12 @@ class TestJobMechanics:
         assert phases == {"halo", "other"}
         halo = [m for m in transport.messages if m.phase == "halo"]
         assert sum(m.nbytes for m in halo) == 80
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_phases_never_synchronize_ranks(self, backend):
+        transport = Transport(2, timeout=10.0)
+        out = ParallelJob(2, transport=transport,
+                          backend=backend).run(_phases_out_of_step)
+        np.testing.assert_array_equal(out[0], np.ones(4))
+        labels = {(m.src, m.tag): m.phase for m in transport.messages}
+        assert labels == {(0, 1): "b", (1, 2): "a"}

@@ -11,6 +11,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing.process import BaseProcess
 from pathlib import Path
@@ -22,7 +23,8 @@ from repro.machine.platforms import ES
 from repro.resilience.checkpoint import Checkpointer
 from repro.runtime import BackendError, ParallelJob, Transport
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.process_backend import BLAS_THREAD_VARS, SHM_MIN_BYTES
+from repro.runtime.process_backend import (BLAS_THREAD_VARS, SHM_MIN_BYTES,
+                                           ProcTransport)
 from repro.runtime.virtual_time import VirtualClocks
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -192,6 +194,31 @@ class TestTeardown:
         run = _fresh_python(code)
         assert run.returncode == 0, run.stderr
         assert "resource_tracker" not in run.stderr, run.stderr
+
+
+class TestInboxPump:
+    def test_stop_is_prompt_and_leaks_no_fd(self):
+        # Every rank stops its pump at exit, and a killed rank stops it
+        # before os._exit: a stop must not wait out an idle poll.
+        ctx = multiprocessing.get_context("spawn")
+        inboxes, parent_q = [ctx.Queue()], ctx.Queue()
+        try:
+            fds = len(os.listdir("/proc/self/fd"))
+            for _ in range(3):
+                tp = ProcTransport(0, 1, inboxes, parent_q,
+                                   shm_prefix="repro-pump-test")
+                tp.start_pump()
+                pump = tp._pump_thread
+                time.sleep(0.02)
+                t0 = time.perf_counter()
+                tp.stop_pump()
+                assert time.perf_counter() - t0 < 0.02
+                assert not pump.is_alive()
+                tp.stop_pump()          # a second stop is a no-op
+            assert len(os.listdir("/proc/self/fd")) <= fds
+        finally:
+            for q in (*inboxes, parent_q):
+                q.close()
 
 
 class TestBackendErrors:
