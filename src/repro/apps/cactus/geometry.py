@@ -1,8 +1,11 @@
 """Differential geometry of the 3-metric: Christoffels, Ricci, constraints.
 
-Everything is vectorized over the grid with ``einsum``.  Validity regions:
-with ghost width 2, first-derivative quantities (dgamma, Gamma) are valid
-on the ghost-1 region and curvature (dGamma, Ricci) on the true interior.
+Everything is vectorized over the grid, and every index contraction that
+can precede a derivative does.  With finite-difference order ``2s``,
+d_k g_ij, Gamma_lij, Gamma^k_ij = g^kl Gamma_lij (one raise) and the trace
+C_j = Gamma^k_kj are valid on the ghost-s region; Ricci, built from
+d_k Gamma^k_ij and d_i C_j instead of all 81 d_m Gamma^k_ij, on the true
+interior.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stencils import grad, interior
+from .stencils import deriv1, grad, interior
 from .tensors import sym_inverse, symmetrize, trace
 
 
@@ -19,15 +22,14 @@ from .tensors import sym_inverse, symmetrize, trace
 class Curvature:
     """Geometric quantities derived from a ghost-extended 3-metric.
 
-    With finite-difference order ``2s``: first-derivative quantities
-    (``dgamma``, ``christoffel``) are valid on the ghost-s region and
-    ``ricci`` on the true interior.  ``at_interior`` shrinks a ghost-s
-    field to the interior for algebra with Ricci.
+    With finite-difference order ``2s``: ``gamma``, ``gamma_inv`` and
+    ``christoffel`` are valid on the ghost-s region and ``ricci`` on the
+    true interior.  ``at_interior`` shrinks a ghost-s field to the
+    interior for algebra with Ricci.
     """
 
     gamma: np.ndarray           # (3,3, n+2s...)
     gamma_inv: np.ndarray       # (3,3, n+2s...)
-    dgamma: np.ndarray          # (3,3,3, n+2s...)  [k, i, j] = d_k g_ij
     christoffel: np.ndarray     # (3,3,3, n+2s...)  [k, i, j] = Gamma^k_ij
     ricci: np.ndarray           # (3,3, n...)
     order: int = 2
@@ -52,22 +54,26 @@ def curvature(gamma_ext: np.ndarray,
     dg = grad(gamma_ext, spacing, order)
     g1 = interior(gamma_ext, s)
     ginv = sym_inverse(g1)
-    # Gamma^k_ij = 1/2 g^kl (d_i g_lj + d_j g_li - d_l g_ij)
-    gamma_sym = np.einsum(
-        "kl...,ilj...->kij...", ginv, dg) / 2.0 \
-        + np.einsum("kl...,jli...->kij...", ginv, dg) / 2.0 \
-        - np.einsum("kl...,lij...->kij...", ginv, dg) / 2.0
-    # dGamma[m, k, i, j] = d_m Gamma^k_ij, valid on the interior.
-    dGamma = grad(gamma_sym, spacing, order)
+    # Gamma_lij = 1/2 (d_i g_lj + d_j g_li - d_l g_ij), then one raise:
+    # Gamma^k_ij = g^kl Gamma_lij.
+    d_i_glj = dg.swapaxes(0, 1)
+    low = d_i_glj + d_i_glj.swapaxes(1, 2)
+    low -= dg
+    low *= 0.5
+    gamma_sym = np.einsum("kl...,lij...->kij...", ginv, low)
+    # R_ij = d_k G^k_ij - d_i C_j + C_l G^l_ij - G^k_il G^l_kj with
+    # C_j = G^k_kj: contract first, then differentiate.
+    ricci = deriv1(gamma_sym[0], 0, spacing[0], order)
+    term = np.empty_like(ricci)
+    for k in (1, 2):
+        ricci += deriv1(gamma_sym[k], k, spacing[k], order, out=term)
+    C = np.einsum("kkj...->j...", gamma_sym)
+    ricci -= grad(C, spacing, order)
     Gi = interior(gamma_sym, s)
-    # R_ij = d_k G^k_ij - d_i G^k_kj + G^k_kl G^l_ij - G^k_il G^l_kj
-    d_k_G_kij = np.einsum("kkij...->ij...", dGamma)
-    d_i_G_kkj = np.einsum("ikkj...->ij...", dGamma)
-    GG1 = np.einsum("kkl...,lij...->ij...", Gi, Gi)
-    GG2 = np.einsum("kil...,lkj...->ij...", Gi, Gi)
-    ricci = symmetrize(d_k_G_kij - d_i_G_kkj + GG1 - GG2)
-    return Curvature(gamma=g1, gamma_inv=ginv, dgamma=dg,
-                     christoffel=gamma_sym, ricci=ricci, order=order)
+    ricci += np.einsum("l...,lij...->ij...", interior(C, s), Gi)
+    ricci -= np.einsum("kil...,lkj...->ij...", Gi, Gi)
+    return Curvature(gamma=g1, gamma_inv=ginv, christoffel=gamma_sym,
+                     ricci=symmetrize(ricci), order=order)
 
 
 def ricci_scalar(geo: Curvature) -> np.ndarray:

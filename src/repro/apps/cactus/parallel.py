@@ -332,8 +332,8 @@ def _cactus_rank_body(comm: Comm, gamma, K, alpha, *, spacing, dt, gauge,
                 monitor.guard_finite(step_index, "cactus.finite",
                                      solver.gamma, solver.K,
                                      solver.alpha)
-                h_linf = comm.allreduce(
-                    solver.constraints().hamiltonian_linf, op="max")
+                h_linf = comm.allreduce(solver.hamiltonian_linf(),
+                                        op="max")
                 monitor.check_bounded(step_index,
                                       "cactus.constraint",
                                       h_linf, default_growth=50.0)

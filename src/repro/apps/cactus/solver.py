@@ -14,10 +14,10 @@ import numpy as np
 
 from .adm import GAUGES, adm_rhs
 from .boundaries import apply_sommerfeld
-from .geometry import curvature, hamiltonian_constraint, momentum_constraint
+from .geometry import (Curvature, curvature, hamiltonian_constraint,
+                       momentum_constraint)
 from .mol import INTEGRATORS, State, icn_step, leapfrog_step, step as mol_step
 from .stencils import extend, fill_ghosts_periodic, ghost_for, kreiss_oliger
-from .tensors import identity_metric
 
 
 @dataclass
@@ -119,7 +119,6 @@ class CactusSolver:
             dt_alpha = dt_alpha + kreiss_oliger(
                 a_ext, self.spacing, self.dissipation, ghost=self.ghost)
         if self.boundary == "radiative":
-            flat = identity_metric(self.shape)
             for i in range(3):
                 for j in range(i, 3):
                     f0 = 1.0 if i == j else 0.0
@@ -131,7 +130,6 @@ class CactusSolver:
                     dt_K[j, i] = dt_K[i, j]
             apply_sommerfeld(alpha, dt_alpha, 1.0, self.shape,
                              self.spacing)
-            del flat
         return dt_gamma, dt_K, dt_alpha
 
     # -- public API ------------------------------------------------------------
@@ -152,9 +150,18 @@ class CactusSolver:
             self.time += self.dt
             self.step_count += 1
 
-    def constraints(self) -> ConstraintNorms:
+    def _geometry(self) -> tuple[Curvature, np.ndarray]:
+        """Curvature of the current metric, and the ghost-extended K."""
         g_ext, K_ext, _ = self._extended((self.gamma, self.K, self.alpha))
-        geo = curvature(g_ext, self.spacing, self.order)
+        return curvature(g_ext, self.spacing, self.order), K_ext
+
+    def hamiltonian_linf(self) -> float:
+        """Max-norm of the Hamiltonian constraint alone (health checks)."""
+        geo, K_ext = self._geometry()
+        return float(np.abs(hamiltonian_constraint(geo, K_ext)).max())
+
+    def constraints(self) -> ConstraintNorms:
+        geo, K_ext = self._geometry()
         H = hamiltonian_constraint(geo, K_ext)
         M = momentum_constraint(geo, K_ext, self.spacing)
         return ConstraintNorms(

@@ -38,6 +38,7 @@ never races with another rank's save.
 from __future__ import annotations
 
 import re
+import threading
 import zipfile
 import zlib
 from pathlib import Path
@@ -52,6 +53,12 @@ _FILE_RE = re.compile(r"^step(\d{8})\.rank(\d{5})\.npz$")
 
 #: reserved prefix for the per-array integrity fields inside the archive
 _CRC_PREFIX = "_crc_"
+
+#: numpy parses .npy headers (lazily, in ``z[name]``) with
+#: ``ast.literal_eval``, whose recursion-depth counter CPython 3.11 shares
+#: between threads: concurrent loads can raise "AST constructor recursion
+#: depth mismatch".  Module level, so a Checkpointer still pickles.
+_NPY_READ_LOCK = threading.Lock()
 
 
 class CheckpointError(RuntimeError):
@@ -194,7 +201,7 @@ class Checkpointer:
         if not path.exists():
             raise CheckpointError("file missing", step=step, rank=rank)
         try:
-            with np.load(path, allow_pickle=False) as z:
+            with _NPY_READ_LOCK, np.load(path, allow_pickle=False) as z:
                 raw = {name: z[name] for name in z.files}
         except (zipfile.BadZipFile, OSError, ValueError, KeyError,
                 EOFError) as exc:

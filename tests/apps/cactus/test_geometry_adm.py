@@ -11,14 +11,48 @@ from repro.apps.cactus.geometry import (
     ricci_scalar,
 )
 from repro.apps.cactus.initial import gauge_wave, minkowski
-from repro.apps.cactus.stencils import GHOST, extend, fill_ghosts_periodic
-from repro.apps.cactus.tensors import identity_metric
+from repro.apps.cactus.stencils import (
+    GHOST,
+    extend,
+    fill_ghosts_periodic,
+    ghost_for,
+    grad,
+    interior,
+)
+from repro.apps.cactus.tensors import identity_metric, sym_inverse, symmetrize
 
 
-def extended(field):
-    e = extend(field, GHOST)
-    fill_ghosts_periodic(e)
+def extended(field, ghost=GHOST):
+    e = extend(field, ghost)
+    fill_ghosts_periodic(e, ghost)
     return e
+
+
+def _curvature_reference(gamma_ext, spacing, order):
+    """The textbook form: three einsums over d_k g_ij for the
+    Christoffels, then all 81 components d_m Gamma^k_ij and their
+    traces for Ricci.  Returns (christoffel, ricci)."""
+    s = order // 2
+    dg = grad(gamma_ext, spacing, order)
+    ginv = sym_inverse(interior(gamma_ext, s))
+    gamma_sym = np.einsum(
+        "kl...,ilj...->kij...", ginv, dg) / 2.0 \
+        + np.einsum("kl...,jli...->kij...", ginv, dg) / 2.0 \
+        - np.einsum("kl...,lij...->kij...", ginv, dg) / 2.0
+    dGamma = grad(gamma_sym, spacing, order)
+    Gi = interior(gamma_sym, s)
+    d_k_G_kij = np.einsum("kkij...->ij...", dGamma)
+    d_i_G_kkj = np.einsum("ikkj...->ij...", dGamma)
+    GG1 = np.einsum("kkl...,lij...->ij...", Gi, Gi)
+    GG2 = np.einsum("kil...,lkj...->ij...", Gi, Gi)
+    return gamma_sym, symmetrize(d_k_G_kij - d_i_G_kkj + GG1 - GG2)
+
+
+def _random_metric(shape, seed, amplitude=0.05):
+    """delta_ij plus seeded noise, bitwise symmetric in (i, j)."""
+    a = amplitude * np.random.default_rng(seed).standard_normal(
+        (3, 3, *shape))
+    return identity_metric(shape) + (a + np.swapaxes(a, 0, 1))
 
 
 class TestCurvature:
@@ -57,6 +91,21 @@ class TestCurvature:
         np.testing.assert_allclose(
             geo.christoffel, np.swapaxes(geo.christoffel, 1, 2),
             atol=1e-14)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_matches_textbook_reference(self, order):
+        """Contracting before differentiating changes only rounding."""
+        g = _random_metric((10, 9, 8), seed=17 + order)
+        g_ext = extended(g, ghost_for(order))
+        spacing = (0.1, 0.12, 0.09)
+        geo = curvature(g_ext, spacing, order)
+        ref_G, ref_R = _curvature_reference(g_ext, spacing, order)
+        for got, ref in ((geo.christoffel, ref_G), (geo.ricci, ref_R)):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(
+                got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+        assert np.array_equal(geo.christoffel,
+                              np.swapaxes(geo.christoffel, 1, 2))
 
     def test_non_tensor_input_rejected(self):
         with pytest.raises(ValueError):

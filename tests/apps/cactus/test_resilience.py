@@ -3,8 +3,9 @@
 import numpy as np
 
 from repro.apps.cactus import gauge_wave
+from repro.apps.cactus import solver as solver_mod
 from repro.apps.cactus.parallel import run_parallel
-from repro.resilience import Checkpointer
+from repro.resilience import Checkpointer, HealthConfig
 from repro.runtime import FaultInjector, FaultPlan, Transport
 
 NPROCS, NSTEPS = 2, 4
@@ -62,3 +63,21 @@ def test_leapfrog_history_checkpointed(tmp_path):
                            checkpoint=Checkpointer(tmp_path),
                            checkpoint_every=1)
     _assert_close(clean, faulted)
+
+
+def test_health_check_evaluates_only_the_hamiltonian(monkeypatch):
+    """The per-step diagnostics read max |H| alone, so they must not pay
+    for the momentum constraint."""
+    g, K, a = _initial()
+    serial = solver_mod.CactusSolver(g, K, a, spacing=DX, dt=0.2 * DX)
+    serial.step(1)
+    assert serial.hamiltonian_linf() == \
+        serial.constraints().hamiltonian_linf
+
+    def no_momentum(*args, **kwargs):
+        raise AssertionError("momentum constraint evaluated")
+
+    monkeypatch.setattr(solver_mod, "momentum_constraint", no_momentum)
+    out = run_parallel(g, K, a, nprocs=NPROCS, nsteps=2, spacing=DX,
+                       dt=0.2 * DX, health=HealthConfig(check_every=1))
+    assert all(np.all(np.isfinite(f)) for f in out)

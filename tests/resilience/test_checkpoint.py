@@ -1,5 +1,8 @@
 """Checkpointer: atomic per-rank .npz snapshots and consistency logic."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -169,6 +172,57 @@ class TestIntegrity:
             np.savez(fh, x=np.arange(3.0))     # no _crc_ fields
         assert np.array_equal(ck.load(1, 0)["x"], np.arange(3.0))
         assert ck.verified(1, 0)
+
+    def test_concurrent_loads_read_archives_one_at_a_time(
+            self, tmp_path, monkeypatch):
+        """Rank threads restarting together must not parse .npy headers
+        at once (CPython 3.11's AST converter keeps shared state)."""
+        from repro.resilience import checkpoint
+
+        ck = Checkpointer(tmp_path)
+        for rank in range(4):
+            ck.save(1, rank, x=np.arange(8.0) + rank)
+        guard = threading.Lock()
+        inside = [0, 0]     # [now, peak]: calls between np.load and close
+        real_load = checkpoint.np.load
+
+        class Tracked:
+            def __init__(self, z):
+                self.z = z
+
+            def __enter__(self):
+                return self.z.__enter__()
+
+            def __exit__(self, *exc):
+                with guard:
+                    inside[0] -= 1
+                return self.z.__exit__(*exc)
+
+        def counting_load(*args, **kwargs):
+            with guard:
+                inside[0] += 1
+                inside[1] = max(inside[1], inside[0])
+            time.sleep(0.05)
+            return Tracked(real_load(*args, **kwargs))
+
+        monkeypatch.setattr(checkpoint.np, "load", counting_load)
+        start = threading.Barrier(4)
+        out = {}
+
+        def load(rank):
+            start.wait(timeout=10)
+            out[rank] = ck.load(1, rank)["x"]
+
+        threads = [threading.Thread(target=load, args=(r,))
+                   for r in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert inside[1] == 1
+        assert all(np.array_equal(out[r], np.arange(8.0) + r)
+                   for r in range(4))
 
 
 class TestRecoveryPolicy:
