@@ -9,7 +9,8 @@ Three instruments over one finding model:
 * the **communication-matching checker** (:mod:`.commcheck`) — deadlock-
   shaped patterns in driver/runtime ASTs, plus a **trace-replay**
   variant (:mod:`.tracecheck`) that confirms every posted send was
-  consumed and every collective round had all ranks in a recorded run;
+  consumed and every collective round had all ranks in a recorded run
+  (trace checkers read and match through :mod:`repro.obs.replay`);
 * the **happens-before race & deadlock analyzers** (:mod:`.racecheck`,
   :mod:`.deadlock`) — vector-clock replay of recorded traces checking
   buffer-epoch ordering (``repro analyze --races``) and wait-for-graph
@@ -24,6 +25,7 @@ halo **sanitizer** — lives in :mod:`repro.runtime.sanitize`, wired into
 the transport via ``Transport(sanitize=True)`` or ``REPRO_SANITIZE=1``.
 """
 
+from ..obs.replay import TraceError, load_trace
 from .baseline import (
     DEFAULT_BASELINE,
     apply_baseline,
@@ -50,7 +52,7 @@ from .racecheck import (
     replay,
 )
 from .rules import CORE_RULES
-from .tracecheck import TraceError, check_trace, load_trace
+from .tracecheck import check_trace
 
 __all__ = [
     "COMM_RULES", "CORE_RULES", "DEADLOCK_RULES", "DEFAULT_BASELINE",

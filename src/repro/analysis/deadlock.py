@@ -25,6 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Any, Iterator
 
+from ..obs.replay import COLLECTIVE, RECV
 from .commcheck import (_mentions_word, _rank_dependent,
                         _rank_tainted_names, extract_comm_ops)
 from .engine import LintRule, register
@@ -39,12 +40,12 @@ DEADLOCK_RULES = ("blocking-recv-cycle",)
 
 
 def _describe_block(rank: int, op: Op, rep: ReplayResult) -> str:
-    if op.is_recv:
+    if op.kind == RECV:
         src = int(op.args["src"])
         tag = op.args.get("tag", 0)
         return (f"rank {rank} blocked in recv from rank {src} "
                 f"(tag {tag}) at {op.site}")
-    if op.is_collective:
+    if op.kind == COLLECTIVE:
         round_key = (op.name, op.round_index)
         waiting = {p for p, w in rep.parked.items() if w == round_key}
         missing = sorted(rep.rounds.get(round_key, set()) - waiting)
@@ -55,9 +56,9 @@ def _describe_block(rank: int, op: Op, rep: ReplayResult) -> str:
 
 
 def _wait_edges(rank: int, op: Op, rep: ReplayResult) -> set[int]:
-    if op.is_recv:
+    if op.kind == RECV:
         return {int(op.args["src"])}
-    if op.is_collective:
+    if op.kind == COLLECTIVE:
         round_key = (op.name, op.round_index)
         waiting = {p for p, w in rep.parked.items() if w == round_key}
         return rep.rounds.get(round_key, set()) - waiting

@@ -10,11 +10,11 @@ neighbours are still reading.  This module proves the ordering instead:
 
 **Dynamic half** — :func:`check_trace_races` replays a recorded trace
 (a live :class:`~repro.obs.tracer.Tracer`, a Chrome ``trace.json``, or
-an ``events.jsonl`` log) into per-rank vector clocks.  Message edges
-come from the same FIFO channel matching the PR-7 critical-path
-profiler uses (k-th send on ``(src, dst, tag)`` pairs with the k-th
-recv); collective rounds are the k-th occurrence of each collective
-name per rank, joined as a barrier.  The runtime emits lightweight
+an ``events.jsonl`` log) into per-rank vector clocks.  The trace-replay
+core (:mod:`repro.obs.replay`) matches message edges (k-th send on
+``(src, dst, tag)`` pairs with the k-th recv) and collective rounds (the
+k-th occurrence of each collective name per rank, joined as a
+barrier).  The runtime emits lightweight
 ``buf-epoch`` instants (``publish`` when a borrow freezes a buffer for
 flight, ``read`` when a receiver observes it, ``reclaim`` when the
 owner thaws it) — a write epoch is the interval from a ``reclaim`` to
@@ -43,12 +43,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-from ..obs.events import (CAT_BUFFER, CAT_COMM, CAT_SYNC, INSTANT, SPAN,
-                          TraceEvent)
+from ..obs.replay import (COLLECTIVE, EPOCH, RECV, Event, events,
+                          load_trace, match)
 from .commcheck import _is_comm_receiver, _positional
 from .engine import LintRule, register
 from .findings import Finding, sort_findings
-from .tracecheck import COLLECTIVE_SPANS, load_trace
 
 RULE_RACE = "trace-race"
 
@@ -58,43 +57,17 @@ RACE_RULES = ("send-then-mutate", "write-after-borrow",
 
 
 # ---------------------------------------------------------------------------
-# trace normalization
+# vector-clock replay
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Op:
-    """One trace event in replay form."""
+@dataclass(slots=True, eq=False)
+class Op(Event):
+    """One trace event in replay form, with its replayed vector clock."""
 
-    rank: int
-    seq: int
-    name: str
-    cat: str
-    ph: str
-    args: dict[str, Any]
     #: vector clock *after* this op executed; ``None`` until processed
     vc: list[int] | None = None
     #: collective round index (k-th occurrence of ``name`` on this rank)
     round_index: int = -1
-
-    @property
-    def is_send(self) -> bool:
-        return (self.ph == SPAN and self.name == "send"
-                and self.cat == CAT_COMM and "dst" in self.args)
-
-    @property
-    def is_recv(self) -> bool:
-        return (self.ph == SPAN and self.name == "recv"
-                and self.cat == CAT_COMM and "src" in self.args)
-
-    @property
-    def is_collective(self) -> bool:
-        return (self.ph == SPAN and self.name in COLLECTIVE_SPANS
-                and self.cat in (CAT_COMM, CAT_SYNC))
-
-    @property
-    def is_epoch(self) -> bool:
-        return (self.ph == INSTANT and self.name == "buf-epoch"
-                and self.cat == CAT_BUFFER)
 
     @property
     def site(self) -> str:
@@ -102,51 +75,11 @@ class Op:
 
 
 def load_ops(source: Any) -> dict[int, list[Op]]:
-    """Per-rank, program-ordered op lists from any trace form.
+    """Per-rank, program-ordered op lists from any trace source."""
+    if isinstance(source, (str, Path)):
+        source = load_trace(source)
+    return events(source, Op).by_rank
 
-    Accepts a live :class:`~repro.obs.tracer.Tracer`, a list of
-    :class:`~repro.obs.events.TraceEvent`, a Chrome trace dict, or a
-    path (``trace.json`` / ``events.jsonl``, optionally gzipped).  The
-    per-rank ``seq`` counter is program order: instants carry the seq
-    at emission and spans the seq at *exit*, so a ``publish`` instant
-    precedes its ``send`` span and a ``read`` instant follows its
-    ``recv`` span — exactly the order replay needs.
-    """
-    raw: list[tuple[int, int, str, str, str, dict]] = []
-    if hasattr(source, "events") and callable(source.events):
-        source = source.events()
-    if isinstance(source, (list, tuple)):
-        for ev in source:
-            if isinstance(ev, TraceEvent):
-                raw.append((ev.rank, ev.seq, ev.name, ev.cat, ev.ph,
-                            dict(ev.args)))
-    else:
-        doc = load_trace(source)
-        fallback_seq: dict[int, int] = {}
-        for e in doc.get("traceEvents", []):
-            if e.get("ph") not in (SPAN, INSTANT):
-                continue
-            rank = int(e.get("tid", 0))
-            args = dict(e.get("args") or {})
-            seq = args.pop("seq", None)
-            if seq is None:
-                # Hand-written doc without seq: file order per rank.
-                seq = fallback_seq.get(rank, 0)
-                fallback_seq[rank] = seq + 1
-            raw.append((rank, int(seq), e.get("name", ""),
-                        e.get("cat", ""), e["ph"], args))
-    by_rank: dict[int, list[Op]] = {}
-    for rank, seq, name, cat, ph, args in raw:
-        by_rank.setdefault(rank, []).append(
-            Op(rank, seq, name, cat, ph, args))
-    for ops in by_rank.values():
-        ops.sort(key=lambda op: op.seq)
-    return by_rank
-
-
-# ---------------------------------------------------------------------------
-# vector-clock replay
-# ---------------------------------------------------------------------------
 
 @dataclass
 class ReplayResult:
@@ -188,28 +121,12 @@ def replay(source: Any) -> ReplayResult:
     nranks = (max(ranks) + 1) if ranks else 0
     res = ReplayResult(nranks=nranks, by_rank=by_rank)
 
-    # FIFO matching: k-th send on (src, dst, tag) pairs with k-th recv.
-    sends: dict[tuple[int, int, int], list[Op]] = {}
-    recvs: dict[tuple[int, int, int], list[Op]] = {}
-    for r in ranks:
-        coll_count: dict[str, int] = {}
-        for op in by_rank[r]:
-            if op.is_send:
-                key = (r, int(op.args["dst"]), int(op.args.get("tag", 0)))
-                sends.setdefault(key, []).append(op)
-            elif op.is_recv:
-                key = (int(op.args["src"]), r, int(op.args.get("tag", 0)))
-                recvs.setdefault(key, []).append(op)
-            elif op.is_collective:
-                k = coll_count.get(op.name, 0)
-                coll_count[op.name] = k + 1
-                op.round_index = k
-                res.rounds.setdefault((op.name, k), set()).add(r)
-    for key, rr in recvs.items():
-        ss = sends.get(key, [])
-        for k, recv_op in enumerate(rr):
-            if k < len(ss):
-                res.matched_send[id(recv_op)] = ss[k]
+    matching = match(by_rank)
+    res.matched_send = {id(recv): send for _, send, recv in matching.pairs}
+    for (name, k), ops in matching.rounds.items():
+        res.rounds[(name, k)] = {op.rank for op in ops}
+        for op in ops:
+            op.round_index = k
 
     vc = {r: [0] * nranks for r in ranks}
     idx = {r: 0 for r in ranks}
@@ -219,14 +136,14 @@ def replay(source: Any) -> ReplayResult:
         for r in ranks:
             while idx[r] < len(by_rank[r]):
                 op = by_rank[r][idx[r]]
-                if op.is_recv:
+                if op.kind == RECV:
                     send_op = res.matched_send.get(id(op))
                     if send_op is None or send_op.vc is None:
                         break                     # blocked on the wire
                     vc[r][r] += 1
                     vc[r] = [max(a, b) for a, b in zip(vc[r], send_op.vc)]
                     op.vc = list(vc[r])
-                elif op.is_collective:
+                elif op.kind == COLLECTIVE:
                     round_key = (op.name, op.round_index)
                     res.parked[r] = round_key
                     waiting = {p for p, w in res.parked.items()
@@ -287,7 +204,7 @@ def check_trace_races(source: Any,
     by_buf: dict[str, dict[str, list[Op]]] = {}
     for r in sorted(rep.by_rank):
         for op in rep.by_rank[r]:
-            if op.is_epoch and op.vc is not None:
+            if op.kind == EPOCH and op.vc is not None:
                 buf = str(op.args.get("buf", "?"))
                 kind = str(op.args.get("op", "?"))
                 by_buf.setdefault(buf, {}).setdefault(kind,

@@ -11,171 +11,49 @@ replays the recorded comm spans and verifies:
   skipped a barrier is the runtime signature of a rank-divergent
   branch that happened not to deadlock *this* time).
 
-Findings use the trace file as their path, so they flow through the
-same report/baseline machinery as static lint findings.
+The trace-replay core (:mod:`repro.obs.replay`) reads and matches the
+trace.  Findings use the trace file as their path, so they flow through
+the same report/baseline machinery as static lint findings.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
-from collections import Counter
 from pathlib import Path
 from typing import Any
 
+from ..obs.replay import load_trace, match, spans
 from .findings import Finding, sort_findings
-
-#: collective span names whose per-rank counts must agree
-COLLECTIVE_SPANS = ("barrier", "allreduce", "allgather", "alltoall",
-                    "bcast", "gather")
 
 _RULE_SEND = "trace-unconsumed-send"
 _RULE_RECV = "trace-unmatched-recv"
 _RULE_COLL = "trace-collective-ranks"
 
-#: seconds -> trace_event microseconds (JSONL -> Chrome conversion)
-_US = 1e6
 
-
-class TraceError(RuntimeError):
-    """A recorded trace could not be read or parsed.
-
-    Raised instead of raw ``json``/``gzip`` exceptions so CLI and
-    campaign layers can classify a bad trace input as a configuration
-    error — and so a spool torn mid-record by a killed process rank
-    produces a message naming the file and the failure mode instead of
-    an anonymous ``JSONDecodeError``.
-    """
-
-
-def _read_trace_text(path: Path) -> str:
-    """File contents, transparently gunzipping by magic number."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"\x1f\x8b":
-        with gzip.open(path, "rt", encoding="utf-8") as fh:
-            return fh.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _doc_from_jsonl(text: str, path: Path) -> dict[str, Any]:
-    """Convert a flat ``events.jsonl`` log to a Chrome trace document.
-
-    Each line is one :meth:`~repro.obs.events.TraceEvent.to_jsonable`
-    record; ``rank`` becomes the Chrome ``tid`` and ``seq`` is folded
-    into ``args`` exactly as :func:`repro.obs.export.chrome_trace`
-    does, so both formats replay identically.
-    """
-    events: list[dict[str, Any]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            d = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(
-                f"{path}: truncated or corrupt event log at line "
-                f"{lineno} ({exc.msg}); a killed process rank tears its "
-                f"spool mid-record — re-record the trace or drop the "
-                f"torn tail") from exc
-        rec: dict[str, Any] = {
-            "name": d.get("name", ""), "cat": d.get("cat", ""),
-            "ph": d.get("ph", "X"), "pid": 0, "tid": d.get("rank", 0),
-            "ts": float(d.get("t_wall", 0.0)) * _US,
-            "args": dict(d.get("args") or {}),
-        }
-        rec["args"].setdefault("seq", d.get("seq", 0))
-        if d.get("t_virtual") is not None:
-            rec["args"].setdefault("t_virtual", d["t_virtual"])
-        if rec["ph"] == "X":
-            rec["dur"] = float(d.get("dur", 0.0)) * _US
-        events.append(rec)
-    return {"traceEvents": events}
-
-
-def load_trace(source: str | Path | dict[str, Any]) -> dict[str, Any]:
-    """A Chrome trace document from a path or an already-loaded dict.
-
-    Accepts plain and gzip-compressed files (detected by magic number,
-    so any name works) in either the Chrome ``trace.json`` object
-    format or the flat ``events.jsonl`` log format — the latter is
-    converted to an equivalent Chrome document.  All read/parse
-    failures surface as :class:`TraceError` naming the file.
-    """
-    if isinstance(source, dict):
-        return source
-    path = Path(source)
-    try:
-        text = _read_trace_text(path)
-    except (OSError, EOFError, gzip.BadGzipFile) as exc:
-        raise TraceError(f"cannot read trace {path}: {exc}") from exc
-    name = path.name[:-3] if path.name.endswith(".gz") else path.name
-    if name.endswith(".jsonl"):
-        return _doc_from_jsonl(text, path)
-    if not text.strip():
-        raise TraceError(f"{path}: empty trace file")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) > 1 and all(ln.lstrip().startswith("{")
-                                  for ln in lines[:8]):
-            # A renamed JSONL log: every record is its own object.
-            return _doc_from_jsonl(text, path)
-        raise TraceError(
-            f"{path}: truncated or corrupt trace (JSON parse failed at "
-            f"line {exc.lineno}: {exc.msg}); spool files from killed "
-            f"process ranks are often torn mid-record") from exc
-
-
-def check_trace(source: str | Path | dict[str, Any],
-                label: str | None = None) -> list[Finding]:
-    """Replay a Chrome trace; returns matching-violation findings."""
-    doc = load_trace(source)
+def check_trace(source: Any, label: str | None = None) -> list[Finding]:
+    """Replay a trace; returns matching-violation findings."""
     if label is None:
         label = (str(source) if isinstance(source, (str, Path))
                  else "<trace>")
-    events = doc.get("traceEvents", [])
-    spans = [e for e in events if e.get("ph") == "X"]
-    ranks = sorted({e["tid"] for e in events
-                    if e.get("ph") == "M"
-                    and e.get("name") == "thread_name"})
-    if not ranks:
-        ranks = sorted({e["tid"] for e in spans})
+    if isinstance(source, (str, Path)):
+        source = load_trace(source)
+    trace = spans(source)
+    matching = match(trace.by_rank)
 
     findings: list[Finding] = []
-    sends: Counter = Counter()
-    recvs: Counter = Counter()
-    for e in spans:
-        args = e.get("args", {})
-        if e.get("name") == "send" and "dst" in args:
-            sends[(e["tid"], args["dst"], args.get("tag", 0))] += 1
-        elif e.get("name") == "recv" and "src" in args:
-            recvs[(args["src"], e["tid"], args.get("tag", 0))] += 1
-    for channel in sorted(set(sends) | set(recvs)):
-        src, dst, tag = channel
-        posted, consumed = sends[channel], recvs[channel]
+    for (src, dst, tag), (posted, consumed) in matching.unmatched.items():
         if posted > consumed:
             findings.append(Finding(
                 _RULE_SEND, "error", label, 0,
                 f"{posted - consumed} of {posted} send(s) on channel "
                 f"{src}->{dst} tag {tag} never consumed by a recv"))
-        elif consumed > posted:
+        else:
             findings.append(Finding(
                 _RULE_RECV, "error", label, 0,
                 f"{consumed - posted} recv(s) on channel {src}->{dst} "
                 f"tag {tag} with no posted send"))
 
-    per_rank: dict[str, Counter] = {name: Counter()
-                                    for name in COLLECTIVE_SPANS}
-    for e in spans:
-        if e.get("name") in per_rank:
-            per_rank[e["name"]][e["tid"]] += 1
-    for name, counts in per_rank.items():
-        if not counts:
-            continue
-        observed = {r: counts.get(r, 0) for r in ranks}
+    for name, counts in matching.round_counts.items():
+        observed = {r: counts.get(r, 0) for r in trace.ranks}
         if len(set(observed.values())) > 1:
             detail = ", ".join(f"rank {r}: {n}"
                                for r, n in sorted(observed.items()))

@@ -31,6 +31,9 @@ from typing import Any
 SPAN = "X"
 INSTANT = "i"
 
+#: seconds -> Chrome trace_event microseconds (the ``ts``/``dur`` unit)
+TRACE_US = 1e6
+
 #: event categories (the taxonomy; see DESIGN.md §7)
 CAT_PHASE = "phase"        # application phase (collision, push, cg, ...)
 CAT_COMM = "comm"          # send/recv/collective/one-sided

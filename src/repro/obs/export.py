@@ -22,12 +22,9 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .events import CAT_PHASE, SPAN, TraceEvent
+from .events import CAT_PHASE, SPAN, TRACE_US, TraceEvent
 from .metrics import MetricsRegistry
 from .tracer import Tracer
-
-#: seconds -> trace_event microseconds
-_US = 1e6
 
 
 def chrome_trace(tracer: Tracer, *, process_name: str = "repro"
@@ -50,14 +47,14 @@ def chrome_trace(tracer: Tracer, *, process_name: str = "repro"
         rec: dict[str, Any] = {
             "name": ev.name, "cat": ev.cat, "ph": ev.ph,
             "pid": 0, "tid": ev.rank,
-            "ts": ev.t_wall * _US,
+            "ts": ev.t_wall * TRACE_US,
             "args": dict(ev.args),
         }
         rec["args"]["seq"] = ev.seq
         if ev.t_virtual is not None:
             rec["args"]["t_virtual"] = ev.t_virtual
         if ev.ph == SPAN:
-            rec["dur"] = ev.dur * _US
+            rec["dur"] = ev.dur * TRACE_US
         else:
             rec["s"] = "t"          # thread-scoped instant
         events.append(rec)

@@ -6,9 +6,9 @@ platform; PR-2's tracer records the raw events but nothing answered
 analysis layer that does, in four steps (DESIGN.md §10):
 
 1. **Causal graph** — re-match the trace's ``send``/``recv`` spans
-   (per-channel FIFO, the same discipline the PR-5 comm checker
-   replays) and group collective spans into rounds, yielding
-   cross-rank happens-before edges.
+   (per-channel FIFO, by the trace-replay core :mod:`.replay` that the
+   comm, race and deadlock checkers share) and group collective spans
+   into rounds, yielding cross-rank happens-before edges.
 2. **Wait-state classification** (Scalasca taxonomy) — a receive that
    blocks until its matching send completes is a *late-sender* wait; a
    send that starts before its receiver posts is a *late-receiver*
@@ -39,24 +39,17 @@ loop.
 Everything here is pure analysis over immutable event data: no
 tracer, transport, or runtime state is touched, so traces can be
 analyzed offline (``repro report --trace trace.json``).
-
-Known limitation: collective rounds are grouped by per-rank occurrence
-index of the span name, which assumes every rank joins every round of
-a given collective (true for the four shipped drivers; split
-sub-communicator collectives would need communicator ids in the span
-args).
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
-from .events import CAT_COMM, CAT_PHASE, CAT_SYNC, SPAN, TraceEvent
-from .tracer import Tracer
+from .events import CAT_COMM, CAT_PHASE, CAT_SYNC
+from .replay import COLLECTIVE_SPANS as COLLECTIVE_SPANS
+from .replay import TraceError, match, spans
 
 #: schema tag written into (and required from) report.json
 REPORT_SCHEMA = "repro.profile.report/1"
@@ -70,10 +63,6 @@ WAIT_KINDS = (WAIT_LATE_SENDER, WAIT_LATE_RECEIVER, WAIT_COLLECTIVE)
 #: residual bucket for comm/sync time outside any application phase
 #: (set-up and result collectives, monitor traffic in un-annotated code)
 BETWEEN_PHASES = "(between-phases)"
-
-#: collective span names emitted by Comm (matches analysis.tracecheck)
-COLLECTIVE_SPANS = ("barrier", "allreduce", "allgather", "alltoall",
-                    "bcast", "gather")
 
 #: default divergence threshold for the measured-vs-modeled join
 #: (absolute difference of run-time fractions)
@@ -103,6 +92,7 @@ class Activity:
     end: float
     seq: int
     args: dict[str, Any] = field(default_factory=dict)
+    kind: str | None = None       # the replay core's send/recv/collective
     parent: int | None = None     # enclosing activity's index
     depth: int = 0
     phase: str | None = None      # nearest enclosing CAT_PHASE name
@@ -122,74 +112,6 @@ class Activity:
         return self.start + self.wait
 
 
-def _spans_from_chrome(doc: dict[str, Any]) -> list[tuple]:
-    rows = []
-    for ev in doc.get("traceEvents", []):
-        if ev.get("ph") != SPAN:
-            continue
-        args = dict(ev.get("args", {}))
-        seq = int(args.pop("seq", -1))
-        args.pop("t_virtual", None)
-        rows.append((int(ev["tid"]), str(ev["name"]), str(ev["cat"]),
-                     float(ev["ts"]) / 1e6, float(ev.get("dur", 0.0)) / 1e6,
-                     seq, args))
-    return rows
-
-
-def _spans_from_jsonl(text: str) -> list[tuple]:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        ev = json.loads(line)
-        if ev.get("ph") != SPAN:
-            continue
-        rows.append((int(ev["rank"]), str(ev["name"]), str(ev["cat"]),
-                     float(ev["t_wall"]), float(ev.get("dur", 0.0)),
-                     int(ev.get("seq", -1)), dict(ev.get("args", {}))))
-    return rows
-
-
-def _raw_spans(source: Any) -> list[tuple]:
-    """Normalize any trace source to ``(rank, name, cat, start, dur,
-    seq, args)`` rows."""
-    if isinstance(source, Tracer):
-        return [(ev.rank, ev.name, ev.cat, ev.t_wall, ev.dur, ev.seq,
-                 dict(ev.args))
-                for ev in source.events() if ev.ph == SPAN]
-    if isinstance(source, dict):
-        if "traceEvents" not in source:
-            raise ProfileError(
-                "trace object has no 'traceEvents' key — expected a "
-                "Chrome trace_event document (repro trace writes one "
-                "as trace.json)")
-        return _spans_from_chrome(source)
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.exists():
-            raise ProfileError(f"trace file not found: {path}")
-        text = path.read_text()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as err:
-                raise ProfileError(
-                    f"{path} is not valid JSON: {err}") from err
-            return _raw_spans(doc)
-        return _spans_from_jsonl(text)
-    if isinstance(source, (list, tuple)):
-        return [(ev.rank, ev.name, ev.cat, ev.t_wall, ev.dur, ev.seq,
-                 dict(ev.args))
-                for ev in source
-                if isinstance(ev, TraceEvent) and ev.ph == SPAN]
-    raise ProfileError(
-        f"cannot profile a {type(source).__name__}; pass a Tracer, a "
-        "Chrome trace dict, a trace.json/events.jsonl path, or a list "
-        "of TraceEvents")
-
-
 def load_activities(source: Any) -> list[Activity]:
     """Load span events from ``source`` and resolve per-rank nesting.
 
@@ -197,8 +119,11 @@ def load_activities(source: Any) -> list[Activity]:
     the signature of a run recorded with the :class:`~repro.obs.tracer.
     NullTracer` (tracing disabled) or a file that is not a trace.
     """
-    rows = _raw_spans(source)
-    if not rows:
+    try:
+        by_rank = spans(source).by_rank
+    except TraceError as err:
+        raise ProfileError(str(err)) from err
+    if not by_rank:
         raise ProfileError(
             "trace contains no span events; nothing to attribute. "
             "Was the run recorded with tracing disabled (NullTracer)? "
@@ -207,18 +132,16 @@ def load_activities(source: Any) -> list[Activity]:
     # spans it contains; resolve nesting with a containment stack.
     # (Per-rank wall time is monotonic and spans nest properly; seq is
     # assigned at span *exit*, so it cannot be used for containment.)
-    by_rank: dict[int, list[tuple]] = {}
-    for row in rows:
-        by_rank.setdefault(row[0], []).append(row)
     activities: list[Activity] = []
     for rank in sorted(by_rank):
         ordered = sorted(by_rank[rank],
-                         key=lambda r: (r[3], -(r[3] + r[4]), r[5]))
+                         key=lambda e: (e.start, -(e.start + e.dur), e.seq))
         stack: list[Activity] = []
-        for (_, name, cat, start, dur, seq, args) in ordered:
-            act = Activity(index=len(activities), rank=rank, name=name,
-                           cat=cat, start=start, end=start + dur,
-                           seq=seq, args=args)
+        for ev in ordered:
+            act = Activity(index=len(activities), rank=rank, name=ev.name,
+                           cat=ev.cat, start=ev.start,
+                           end=ev.start + ev.dur, seq=ev.seq,
+                           args=ev.args, kind=ev.kind)
             while stack and not (act.start >= stack[-1].start - 1e-12
                                  and act.end <= stack[-1].end + 1e-12):
                 stack.pop()
@@ -272,9 +195,6 @@ class CausalGraph:
     unmatched_sends: int
     unmatched_recvs: int
 
-    def by_rank(self, rank: int) -> list[Activity]:
-        return [a for a in self.activities if a.rank == rank]
-
 
 def build_graph(activities: list[Activity],
                 nranks: int | None = None) -> CausalGraph:
@@ -283,53 +203,29 @@ def build_graph(activities: list[Activity],
         raise ProfileError("no activities; nothing to match")
     if nranks is None:
         nranks = max(a.rank for a in activities) + 1
-    sends: dict[tuple[int, int, int], list[Activity]] = {}
-    recvs: dict[tuple[int, int, int], list[Activity]] = {}
-    coll: dict[str, dict[int, list[Activity]]] = {}
+    # Per-rank (start, seq) order is program order; the replay core
+    # FIFO-matches each (src, dst, tag) channel over it and groups the
+    # k-th occurrence of each collective name into round k.
+    per_rank: dict[int, list[Activity]] = {}
     for act in activities:
-        if act.cat == CAT_COMM and act.name == "send" and "dst" in act.args:
-            key = (act.rank, int(act.args["dst"]),
-                   int(act.args.get("tag", 0)))
-            sends.setdefault(key, []).append(act)
-        elif act.cat == CAT_COMM and act.name == "recv" and "src" in act.args:
-            key = (int(act.args["src"]), act.rank,
-                   int(act.args.get("tag", 0)))
-            recvs.setdefault(key, []).append(act)
-        elif act.name in COLLECTIVE_SPANS and act.cat in (CAT_COMM,
-                                                          CAT_SYNC):
-            coll.setdefault(act.name, {}).setdefault(act.rank,
-                                                     []).append(act)
-    # FIFO match: k-th send on channel (src, dst, tag) pairs with the
-    # k-th recv — the transport's per-channel delivery discipline, the
-    # same invariant analysis.tracecheck replays.  Per-rank (start, seq)
-    # order is program order.
-    edges: list[CommEdge] = []
-    unmatched_sends = unmatched_recvs = 0
-    for key in sorted(set(sends) | set(recvs)):
-        ss = sorted(sends.get(key, []), key=lambda a: (a.start, a.seq))
-        rr = sorted(recvs.get(key, []), key=lambda a: (a.start, a.seq))
-        n = min(len(ss), len(rr))
-        for k in range(n):
-            edges.append(CommEdge(send=ss[k], recv=rr[k],
-                                  src=key[0], dst=key[1], tag=key[2]))
-        unmatched_sends += len(ss) - n
-        unmatched_recvs += len(rr) - n
-    # Collective rounds: the k-th occurrence of a collective name on
-    # each rank belongs to round k (SPMD: every rank joins every round).
+        per_rank.setdefault(act.rank, []).append(act)
+    for acts in per_rank.values():
+        acts.sort(key=lambda a: (a.start, a.seq))
+    matching = match(per_rank)
+    edges = [CommEdge(send=s, recv=r, src=src, dst=dst, tag=tag)
+             for (src, dst, tag), s, r in matching.pairs]
+    unmatched = matching.unmatched.values()
+    unmatched_sends = sum(max(ns - nr, 0) for ns, nr in unmatched)
+    unmatched_recvs = sum(max(nr - ns, 0) for ns, nr in unmatched)
     rounds: list[CollectiveRound] = []
-    for name in sorted(coll):
-        per_rank = {r: sorted(acts, key=lambda a: (a.start, a.seq))
-                    for r, acts in coll[name].items()}
-        nrounds = max(len(acts) for acts in per_rank.values())
-        for k in range(nrounds):
-            parts = [acts[k] for _, acts in sorted(per_rank.items())
-                     if len(acts) > k]
-            if len(parts) < 2:
-                continue
-            last = max(parts, key=lambda a: (a.start, a.rank))
-            rounds.append(CollectiveRound(
-                name=name, round_index=k, participants=parts,
-                last_rank=last.rank, t_last=last.start))
+    for name, k in sorted(matching.rounds):
+        parts = matching.rounds[(name, k)]
+        if len(parts) < 2:
+            continue
+        last = max(parts, key=lambda a: (a.start, a.rank))
+        rounds.append(CollectiveRound(
+            name=name, round_index=k, participants=parts,
+            last_rank=last.rank, t_last=last.start))
     return CausalGraph(activities=activities, nranks=nranks, edges=edges,
                        rounds=rounds, unmatched_sends=unmatched_sends,
                        unmatched_recvs=unmatched_recvs)

@@ -60,8 +60,12 @@ def _published(outdir: Path) -> int:
     store_dir = outdir / "store" / "objects"
     if not store_dir.exists():
         return 0
-    return sum(1 for p in store_dir.rglob("result.json")
-               if ".tmp-" not in p.parent.name)
+    # Skip `.tmp-` staging directories before descending: the live
+    # writer renames them away, so scanning one can hit a vanished path.
+    return sum(1 for shard in store_dir.iterdir() if shard.is_dir()
+               for entry in shard.iterdir()
+               if not entry.name.startswith(".tmp-")
+               and (entry / "result.json").exists())
 
 
 def _wait_for_store_entries(outdir: Path, n: int,

@@ -83,6 +83,43 @@ class TestActivities:
         assert recv.phase == "compute"
         assert by[(1, "compute", 2)].depth == 0
 
+    def test_event_log_and_gzip_report_like_chrome(self, tmp_path):
+        import gzip
+
+        from repro.obs.export import write_chrome_trace, write_events_jsonl
+
+        tracer = Tracer(2)
+        for rank, peer in ((0, 1), (1, 0)):
+            with tracer.span(rank, "work", CAT_PHASE):
+                with tracer.span(rank, "send", CAT_COMM,
+                                 {"dst": peer, "tag": 0, "nbytes": 4}):
+                    pass
+                with tracer.span(rank, "recv", CAT_COMM,
+                                 {"src": peer, "tag": 0}):
+                    pass
+                with tracer.span(rank, "barrier", CAT_SYNC):
+                    pass
+        chrome = write_chrome_trace(tmp_path / "trace.json", tracer)
+        jsonl = write_events_jsonl(tmp_path / "events.jsonl", tracer)
+        forms = [jsonl]
+        for path in (chrome, jsonl):
+            packed = tmp_path / f"{path.name}.gz"
+            packed.write_bytes(gzip.compress(path.read_bytes()))
+            forms.append(packed)
+        expected = json.dumps(build_report(chrome), sort_keys=True)
+        for path in forms:
+            assert json.dumps(build_report(path), sort_keys=True) \
+                == expected, path.name
+
+    def test_torn_event_log_names_the_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"rank": 0, "seq": 0, "name": "work", "cat": "phase",'
+            ' "ph": "X", "t_wall": 0.0, "dur": 1.0}\n' * 2
+            + '{"rank": 0, "seq": 2, "na')
+        with pytest.raises(ProfileError, match="line 3"):
+            load_activities(path)
+
     def test_chrome_round_trip_matches_direct(self):
         from repro.obs.export import chrome_trace
 

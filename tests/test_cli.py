@@ -1,8 +1,23 @@
 """Command-line interface."""
 
+import gzip
+
 import pytest
 
 from repro.cli import main
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """One traced LBMHD run: trace.json, events.jsonl and metrics.json,
+    plus gzipped copies of both trace forms."""
+    out = tmp_path_factory.mktemp("recorded")
+    assert main(["trace", "lbmhd", "--steps", "2", "--nprocs", "2",
+                 "--out", str(out)]) == 0
+    for name in ("trace.json", "events.jsonl"):
+        (out / f"{name}.gz").write_bytes(
+            gzip.compress((out / name).read_bytes()))
+    return out
 
 
 class TestCLI:
@@ -214,6 +229,50 @@ class TestAnalyzeCLI:
         assert "truncated or corrupt" in err
         assert "Traceback" not in err
 
+    def test_analyze_rejects_json_that_is_not_a_trace(self, capsys,
+                                                      tmp_path, recorded):
+        (tmp_path / "empty.py").write_text("x = 1\n")
+        metrics = str(recorded / "metrics.json")
+        assert main(["analyze", str(tmp_path / "empty.py"), "--races",
+                     "--deadlocks", "--trace", metrics]) == 2
+        err = capsys.readouterr().err
+        assert metrics in err and "traceEvents" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name,data", [
+        ("latin1.json", b'{"traceEvents": [{"name": "\xe9"}]}'),
+        ("corrupt.json.gz", gzip.compress(b"{}", mtime=0)[:10] + b"\xff" * 20),
+    ], ids=["not-utf8", "corrupt-gzip"])
+    def test_analyze_unreadable_trace_is_config_error(self, capsys,
+                                                      tmp_path, name, data):
+        trace = tmp_path / name
+        trace.write_bytes(data)
+        (tmp_path / "empty.py").write_text("x = 1\n")
+        assert main(["analyze", str(tmp_path / "empty.py"),
+                     "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read trace {trace}" in err
+        assert "Traceback" not in err
+
+    def test_analyze_reads_the_trace_file_once(self, capsys, tmp_path,
+                                               monkeypatch):
+        from repro.obs import replay
+
+        trace = self._racy_trace(tmp_path)
+        reads = []
+        read_text = replay._read_text
+
+        def counting(path):
+            reads.append(path)
+            return read_text(path)
+
+        monkeypatch.setattr(replay, "_read_text", counting)
+        (tmp_path / "empty.py").write_text("x = 1\n")
+        assert main(["analyze", str(tmp_path / "empty.py"), "--races",
+                     "--deadlocks", "--trace", str(trace)]) == 4
+        assert "trace-race" in capsys.readouterr().out
+        assert len(reads) == 1
+
     def test_analyze_trace_replay_accepts_recorded_run(self, capsys,
                                                        tmp_path):
         out = str(tmp_path / "tr")
@@ -246,10 +305,35 @@ class TestReportCLI:
                      "--out", out]) == 0
         capsys.readouterr()
         assert main(["report", "--trace", f"{out}/trace.json",
-                     "--metrics", f"{out}/metrics.json"]) == 0
+                     "--metrics", f"{out}/metrics.json",
+                     "--out", str(tmp_path / "rep")]) == 0
         text = capsys.readouterr().out
         assert "performance attribution" in text
         assert "measured vs modeled" in text
+
+    @pytest.mark.parametrize("name", ["events.jsonl", "trace.json.gz",
+                                      "events.jsonl.gz"])
+    def test_report_reads_every_trace_form(self, capsys, tmp_path,
+                                           recorded, name):
+        metrics = str(recorded / "metrics.json")
+        for form, out in (("trace.json", "ref"), (name, "got")):
+            assert main(["report", "--trace", str(recorded / form),
+                         "--metrics", metrics,
+                         "--out", str(tmp_path / out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "got" / "report.json").read_bytes() == \
+            (tmp_path / "ref" / "report.json").read_bytes()
+
+    def test_report_torn_event_log_is_typed_error(self, capsys, tmp_path,
+                                                  recorded):
+        lines = (recorded / "events.jsonl").read_text().splitlines(True)
+        torn = tmp_path / "events.jsonl"
+        torn.write_text("".join(lines[:2]) + lines[2][:20])
+        assert main(["report", "--trace", str(torn),
+                     "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert str(torn) in err and "line 3" in err
+        assert "Traceback" not in err
 
     def test_report_spanfree_trace_is_typed_error(self, capsys, tmp_path):
         import json
