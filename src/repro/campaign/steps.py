@@ -19,8 +19,8 @@ Kinds
               artifacts: trace.json, events.jsonl, metrics.json
 ``report``    run + profile one app (:func:`repro.obs.runner.
               report_app`); artifacts additionally include report.json
-``validate``  short physics validation of one app (the ``repro apps``
-              gates, per app)
+``validate``  short physics validation of one app: its serial gate in
+              :mod:`repro.apps.catalogue`, as ``repro apps`` runs it
 ``bench``     quick kernel benchmark subset (artifact bench.json)
 ``cli``       run ``python -m repro <argv>`` in a child process and
               classify its *typed exit code* (see README) — the
@@ -207,83 +207,19 @@ def run_report(ctx: StepContext) -> StepOutcome:
 
 
 def run_validate(ctx: StepContext) -> StepOutcome:
+    from ..apps.catalogue import CATALOGUE, ValidationError
+
     app = ctx.step.config.get("app")
-    checks = _VALIDATORS.get(str(app))
-    if checks is None:
+    entry = CATALOGUE.get(str(app))
+    if entry is None:
         raise FatalStepError(
             f"validate step {ctx.step.id}: unknown app {app!r} "
-            f"(choose from {sorted(_VALIDATORS)})")
-    result = checks()
-    return StepOutcome(result=result)
-
-
-def _validate_lbmhd() -> dict:
-    from ..apps import lbmhd
-
-    s = lbmhd.LBMHDSolver(*lbmhd.orszag_tang(32, 32))
-    e0 = s.diagnostics().total_energy
-    s.step(10)
-    d = s.diagnostics()
-    if abs(d.mass - 32 * 32) > 1e-8:
-        raise PersistentStepError(
-            f"LBMHD mass not conserved: {d.mass} != {32 * 32}")
-    if not d.total_energy < e0:
-        raise PersistentStepError(
-            f"LBMHD energy did not decay: {d.total_energy} >= {e0}")
-    return {"app": "lbmhd", "mass_conserved": True,
-            "energy_decayed": True}
-
-
-def _validate_cactus() -> dict:
-    from ..apps import cactus
-
-    dx = 1.0 / 16
-    c = cactus.CactusSolver(*cactus.gauge_wave((16, 4, 4), dx,
-                                               amplitude=0.05),
-                            spacing=dx, dt=0.2 * dx, integrator="rk4")
-    c.step(10)
-    err = c.deviation_from(*cactus.gauge_wave((16, 4, 4), dx,
-                                              amplitude=0.05, t=c.time))
-    if not err < 5e-3:
-        raise PersistentStepError(
-            f"Cactus gauge-wave error vs exact too large: {err:.3e}")
-    return {"app": "cactus", "gauge_wave_ok": True}
-
-
-def _validate_gtc() -> dict:
-    from ..apps import gtc
-
-    geom = gtc.TorusGeometry(gtc.AnnulusGrid(0.2, 1.0, 16, 16), 2)
-    g = gtc.GTCSolver(geom, gtc.load_ring_perturbation(geom, 4.0),
-                      dt=0.05)
-    n0 = len(g.particles)
-    g.step(3)
-    if g.diagnostics().nparticles != n0:
-        raise PersistentStepError(
-            f"GTC particle count not conserved: "
-            f"{g.diagnostics().nparticles} != {n0}")
-    return {"app": "gtc", "particles": n0, "conserved": True}
-
-
-def _validate_paratec() -> dict:
-    from ..apps import paratec
-
-    basis = paratec.PlaneWaveBasis(paratec.silicon_primitive(), 5.5)
-    ham = paratec.Hamiltonian.ionic(basis)
-    evals, _ = paratec.solve_dense(ham, 5)
-    gap = (evals[4] - evals[3]) * 27.2114
-    if not 2.5 < gap < 4.5:
-        raise PersistentStepError(
-            f"PARATEC Gamma gap {gap:.2f} eV outside [2.5, 4.5]")
-    return {"app": "paratec", "gap_in_band": True}
-
-
-_VALIDATORS = {
-    "lbmhd": _validate_lbmhd,
-    "cactus": _validate_cactus,
-    "gtc": _validate_gtc,
-    "paratec": _validate_paratec,
-}
+            f"(choose from {sorted(CATALOGUE)})")
+    try:
+        payload, _ = entry.validate()
+    except ValidationError as exc:
+        raise PersistentStepError(str(exc)) from exc
+    return StepOutcome(result={"app": entry.name, **payload})
 
 
 def run_bench(ctx: StepContext) -> StepOutcome:

@@ -45,20 +45,8 @@ import sys
 
 import numpy as np
 
+from .apps import APPS
 from .resilience.failures import EXIT_CHECK, EXIT_CONFIG, EXIT_RUN
-
-
-class ValidationError(RuntimeError):
-    """A CLI validation pass produced out-of-tolerance results.
-
-    Raised instead of ``assert`` so the ``apps`` gate still fires under
-    ``python -O`` and failures carry a diagnosable message.
-    """
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -124,50 +112,12 @@ def _cmd_amr(args: argparse.Namespace) -> int:
 
 
 def _cmd_apps(_: argparse.Namespace) -> int:
-    from .apps import cactus, gtc, lbmhd, paratec
+    from .apps.catalogue import CATALOGUE
 
-    print("LBMHD: 48^2 Orszag-Tang, 30 steps ...", end=" ", flush=True)
-    s = lbmhd.LBMHDSolver(*lbmhd.orszag_tang(48, 48))
-    e0 = s.diagnostics().total_energy
-    s.step(30)
-    d = s.diagnostics()
-    _require(abs(d.mass - 48 * 48) < 1e-8,
-             f"LBMHD mass not conserved: {d.mass} != {48 * 48}")
-    _require(d.total_energy < e0,
-             f"LBMHD energy did not decay: {d.total_energy} >= {e0}")
-    print(f"ok (energy {e0:.3f}->{d.total_energy:.3f})")
-
-    print("Cactus: gauge wave, n=16 ...", end=" ", flush=True)
-    dx = 1.0 / 16
-    c = cactus.CactusSolver(*cactus.gauge_wave((16, 4, 4), dx,
-                                               amplitude=0.05),
-                            spacing=dx, dt=0.2 * dx, integrator="rk4")
-    c.step(10)
-    err = c.deviation_from(*cactus.gauge_wave((16, 4, 4), dx,
-                                              amplitude=0.05, t=c.time))
-    _require(err < 5e-3,
-             f"Cactus gauge-wave error vs exact too large: {err:.3e}")
-    print(f"ok (error vs exact {err:.1e})")
-
-    print("GTC: 16x16x2 PIC, 5 steps ...", end=" ", flush=True)
-    geom = gtc.TorusGeometry(gtc.AnnulusGrid(0.2, 1.0, 16, 16), 2)
-    g = gtc.GTCSolver(geom, gtc.load_ring_perturbation(geom, 4.0),
-                      dt=0.05)
-    n0 = len(g.particles)
-    g.step(5)
-    _require(g.diagnostics().nparticles == n0,
-             f"GTC particle count not conserved: "
-             f"{g.diagnostics().nparticles} != {n0}")
-    print(f"ok ({n0} particles conserved)")
-
-    print("PARATEC: Si Gamma bands ...", end=" ", flush=True)
-    basis = paratec.PlaneWaveBasis(paratec.silicon_primitive(), 5.5)
-    ham = paratec.Hamiltonian.ionic(basis)
-    evals, _ = paratec.solve_dense(ham, 5)
-    gap = (evals[4] - evals[3]) * 27.2114
-    _require(2.5 < gap < 4.5,
-             f"PARATEC Gamma gap {gap:.2f} eV outside [2.5, 4.5]")
-    print(f"ok (Gamma gap {gap:.2f} eV)")
+    for app in CATALOGUE.values():
+        print(f"{app.title}: {app.validation} ...", end=" ", flush=True)
+        _, summary = app.validate()
+        print(f"ok ({summary})")
     return 0
 
 
@@ -243,9 +193,13 @@ def _cmd_health(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs.runner import trace_app
 
-    run = trace_app(args.app, steps=args.steps, nprocs=args.nprocs,
-                    outdir=None if args.summary else args.out,
-                    backend=args.backend)
+    try:
+        run = trace_app(args.app, steps=args.steps, nprocs=args.nprocs,
+                        outdir=None if args.summary else args.out,
+                        backend=args.backend)
+    except NotADirectoryError as err:
+        print(f"repro trace: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"{run.app}: {run.nprocs} ranks x {run.steps} steps, "
           f"{run.report['events']} events")
     print()
@@ -282,7 +236,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             args.app, steps=args.steps, nprocs=args.nprocs,
             machine=args.machine, threshold=args.threshold,
             outdir=args.out, backend=args.backend)
-    except ProfileError as err:
+    except (ProfileError, NotADirectoryError) as err:
         print(f"repro report: {err}", file=sys.stderr)
         return EXIT_CONFIG
     print(render_report(doc))
@@ -561,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="recover by shrinking over the survivors "
                         "instead of respawning a spare")
     p.add_argument("--app", action="append", default=None,
-                   choices=("lbmhd", "cactus", "gtc", "paratec"),
+                   choices=APPS,
                    help="restrict the kill pass to one app "
                         "(repeatable; default all four)")
     p.add_argument("--json", default=None, metavar="PATH",
@@ -572,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "health",
         help="run one app under invariant monitors; print the report")
-    p.add_argument("app", choices=("lbmhd", "cactus", "gtc", "paratec"))
+    p.add_argument("app", choices=APPS)
     p.add_argument("--sdc", action="store_true",
                    help="inject a deterministic bit flip and show "
                         "detection + rollback")
@@ -586,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "trace",
         help="run one app with tracing on; write trace.json + metrics.json")
-    p.add_argument("app", choices=("lbmhd", "cactus", "gtc", "paratec"))
+    p.add_argument("app", choices=APPS)
     p.add_argument("--steps", type=int, default=None,
                    help="time steps (paratec: outer CG iterations)")
     p.add_argument("--nprocs", type=int, default=None,
@@ -603,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         help="cross-rank performance attribution: critical path, "
              "wait states, measured-vs-modeled roofline join")
     p.add_argument("app", nargs="?", default=None,
-                   choices=("lbmhd", "cactus", "gtc", "paratec"),
+                   choices=APPS,
                    help="run this app traced, then analyze it")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="analyze a recorded trace.json/events.jsonl "

@@ -22,8 +22,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
+from ..apps import APPS
+from ..apps.catalogue import get_app
 from ..runtime.transport import Transport
 from ..runtime.virtual_time import VirtualClocks
 from .events import SPAN
@@ -35,15 +37,6 @@ from .export import (
 )
 from .metrics import MetricsRegistry
 from .tracer import Tracer
-
-#: per-app small-run defaults: (nprocs, steps)
-_DEFAULTS = {
-    "lbmhd": (4, 5),
-    "cactus": (2, 4),
-    "gtc": (2, 3),
-    "paratec": (2, 2),
-}
-
 
 @dataclass
 class TraceRun:
@@ -64,65 +57,17 @@ class TraceRun:
         return phase_table(self.tracer)
 
 
-def _run_lbmhd(nprocs: int, steps: int, transport: Transport,
-               model: MetricsRegistry, backend: str = "thread") -> None:
-    from ..apps.lbmhd import orszag_tang
-    from ..apps.lbmhd.parallel import run_parallel
-    from ..apps.lbmhd.profile import LBMHDConfig, feed_metrics
-
-    rho, u, B = orszag_tang(16, 16)
-    run_parallel(rho, u, B, nprocs=nprocs, nsteps=steps,
-                 transport=transport, backend=backend)
-    feed_metrics(model, LBMHDConfig(16, nprocs))
-
-
-def _run_cactus(nprocs: int, steps: int, transport: Transport,
-                model: MetricsRegistry, backend: str = "thread") -> None:
-    from ..apps.cactus import gauge_wave
-    from ..apps.cactus.parallel import run_parallel
-    from ..apps.cactus.profile import CactusConfig, feed_metrics
-
-    dx = 1.0 / 8
-    g, K, a = gauge_wave((8, 4, 4), dx, amplitude=0.05)
-    run_parallel(g, K, a, nprocs=nprocs, nsteps=steps,
-                 spacing=dx, dt=0.2 * dx, transport=transport,
-                 backend=backend)
-    feed_metrics(model, CactusConfig((8, 4, 4), nprocs))
-
-
-def _run_gtc(nprocs: int, steps: int, transport: Transport,
-             model: MetricsRegistry, backend: str = "thread") -> None:
-    from ..apps.gtc import AnnulusGrid, TorusGeometry, load_ring_perturbation
-    from ..apps.gtc.parallel import run_parallel
-    from ..apps.gtc.profile import GTCConfig, feed_metrics
-
-    geom = TorusGeometry(AnnulusGrid(0.2, 1.0, 8, 8), nprocs)
-    parts = load_ring_perturbation(geom, 4.0)
-    run_parallel(geom, parts, nprocs=nprocs, nsteps=steps,
-                 transport=transport, backend=backend)
-    feed_metrics(model, GTCConfig(10, nprocs))
-
-
-def _run_paratec(nprocs: int, steps: int, transport: Transport,
-                 model: MetricsRegistry, backend: str = "thread") -> None:
-    from ..apps.paratec import silicon_primitive
-    from ..apps.paratec.parallel import solve_bands_parallel
-    from ..apps.paratec.profile import ParatecConfig, feed_metrics
-
-    solve_bands_parallel(silicon_primitive(), 4.0, 4, nprocs=nprocs,
-                         n_outer=steps, n_inner=2, transport=transport,
-                         backend=backend)
-    feed_metrics(model, ParatecConfig(432, nprocs))
-
-
-_RUNNERS: dict[str, Callable[..., None]] = {
-    "lbmhd": _run_lbmhd,
-    "cactus": _run_cactus,
-    "gtc": _run_gtc,
-    "paratec": _run_paratec,
-}
-
-APPS = tuple(_RUNNERS)
+def _make_outdir(outdir: str | Path) -> Path:
+    """Create the output directory before any work is done; a path that
+    is (or lies under) a file is a usage error, :class:`NotADirectoryError`."""
+    out = Path(outdir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise NotADirectoryError(
+            f"output directory {out} is a file, or lies under one"
+        ) from None
+    return out
 
 
 def _per_rank_registries(tracer: Tracer, transport: Transport
@@ -205,28 +150,26 @@ def trace_app(app: str, *, steps: int | None = None,
     spools its events to JSONL and the merged trace lands in the same
     files (wall-clock timestamps share one monotonic timebase).
     """
-    if app not in _RUNNERS:
-        raise ValueError(
-            f"unknown app {app!r}; choose from {', '.join(APPS)}")
-    d_nprocs, d_steps = _DEFAULTS[app]
-    nprocs = d_nprocs if nprocs is None else nprocs
-    steps = d_steps if steps is None else steps
+    entry = get_app(app)
+    nprocs = entry.nprocs if nprocs is None else nprocs
+    steps = entry.steps if steps is None else steps
     if nprocs < 1 or steps < 1:
         raise ValueError("nprocs and steps must be >= 1")
+    out = None if outdir is None else _make_outdir(outdir)
 
     clocks = VirtualClocks(nprocs)
     tracer = Tracer(nprocs, clocks=clocks, advance_clocks=True)
     transport = Transport(nprocs)
     transport.tracer = tracer
+    entry.case(nprocs=nprocs).run(steps, transport=transport,
+                                  backend=backend)
     model = MetricsRegistry()
-    _RUNNERS[app](nprocs, steps, transport, model, backend)
+    entry.profile.feed_metrics(model, entry.model_config(nprocs))
 
     report = build_report(app, nprocs, steps, tracer, transport, clocks,
                           model)
     run = TraceRun(app, nprocs, steps, tracer, transport, clocks, report)
-    if outdir is not None:
-        out = Path(outdir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         run.trace_path = write_chrome_trace(
             out / "trace.json", tracer, process_name=f"repro {app}")
         run.events_path = write_events_jsonl(out / "events.jsonl", tracer)
@@ -237,23 +180,10 @@ def trace_app(app: str, *, steps: int | None = None,
 def model_profile(app: str, nprocs: int):
     """The :class:`~repro.perf.work.AppProfile` for the configuration
     :func:`trace_app` runs — the model-side half of the measured-vs-
-    modeled join.  Kept next to the ``_run_*`` runners so the two
-    cannot drift apart.
+    modeled join, from the same catalogue entry as the run itself.
     """
-    if app == "lbmhd":
-        from ..apps.lbmhd.profile import LBMHDConfig, build_profile
-        return build_profile(LBMHDConfig(16, nprocs))
-    if app == "cactus":
-        from ..apps.cactus.profile import CactusConfig, build_profile
-        return build_profile(CactusConfig((8, 4, 4), nprocs))
-    if app == "gtc":
-        from ..apps.gtc.profile import GTCConfig, build_profile
-        return build_profile(GTCConfig(10, nprocs))
-    if app == "paratec":
-        from ..apps.paratec.profile import ParatecConfig, build_profile
-        return build_profile(ParatecConfig(432, nprocs))
-    raise ValueError(
-        f"unknown app {app!r}; choose from {', '.join(APPS)}")
+    entry = get_app(app)
+    return entry.profile.build_profile(entry.model_config(nprocs))
 
 
 def report_app(app: str, *, steps: int | None = None,
@@ -318,9 +248,10 @@ def report_from_files(trace: str | Path, *,
             raise ProfileError(f"{mpath} is not a metrics.json document")
         app = app if app is not None else mdoc.get("app")
         nprocs = nprocs if nprocs is not None else mdoc.get("nprocs")
+    out = None if outdir is None else _make_outdir(outdir)
     profile = None
     if app is not None:
-        if app not in _RUNNERS:
+        if app not in APPS:
             raise ProfileError(
                 f"unknown app {app!r}; choose from {', '.join(APPS)}")
         if nprocs is not None:
@@ -329,9 +260,7 @@ def report_from_files(trace: str | Path, *,
         trace, app=app, nprocs=int(nprocs) if nprocs is not None else None,
         profile=profile, machine=machine,
         threshold=DEFAULT_THRESHOLD if threshold is None else threshold)
-    if outdir is not None:
-        out = Path(outdir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "report.json").write_text(
             json.dumps(doc, indent=2, sort_keys=True))
     return doc

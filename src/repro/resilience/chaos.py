@@ -36,6 +36,10 @@ checks the final answer against the unfaulted same-seed run
 (bit-identical for respawn), that the rollback was *localized* (the
 checkpoint-load ledger shows only the replacement reloading shards),
 and that exactly the replacement + its neighbours were rolled back.
+
+Every pass loops over :mod:`repro.apps.catalogue` for the cases, the
+equality rules and the physics gates; the fault plans, step counts,
+checkpoint cadences and tolerances below are this harness's policy.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from ..apps import APPS
+from ..apps.catalogue import CATALOGUE, App, Match
 from ..runtime.faults import FaultInjector, FaultPlan
 from ..runtime.transport import Transport
 from .checkpoint import Checkpointer
@@ -84,131 +88,58 @@ def _traffic_detail(transport: Transport) -> str:
             f"{ntags} tags)")
 
 
-def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(np.max(np.abs(a - b)
-                        / np.maximum(np.abs(a), 1e-300), initial=0.0))
+def _held(match: Match, bound: tuple[str, float] | None) -> str:
+    """Hold ``match`` to ``bound`` and say how the result matched.
+
+    ``None`` demands a bitwise match; otherwise ``bound`` is
+    ``("rel_err" | "abs_err", limit)``.
+    """
+    if bound is None:
+        if not match.bitwise:
+            raise AssertionError("result differs from the unfaulted run")
+        return "bitwise"
+    kind, limit = bound
+    err = getattr(match, kind)
+    label = kind.replace("_", " ")
+    if not err <= limit:
+        raise AssertionError(f"result deviates: {label} {err:.2e} > "
+                             f"{limit:g}")
+    return f"{label} {err:.1e}"
 
 
-def _chaos_lbmhd(seed: int, ckdir: str, backend: str = "thread") -> str:
-    from ..apps.lbmhd import orszag_tang
-    from ..apps.lbmhd.parallel import run_parallel
+#: wire pass per app: steps, crash rank, crash step, checkpoint cadence,
+#: and whether the 5% drop rate is sure to hit its point-to-point
+#: traffic (GTC's few shift messages may all get through; PARATEC's
+#: traffic is all collective)
+_WIRE_RUN = {"lbmhd": (5, 2, 2, 2, True), "cactus": (4, 1, 2, 1, True),
+             "gtc": (3, 0, 1, 1, False), "paratec": (3, 1, 1, 1, False)}
+#: restart result vs clean: bitwise for LBMHD and GTC, else relative
+_WIRE_MATCH = {"lbmhd": None, "cactus": ("rel_err", 1e-12), "gtc": None,
+               "paratec": ("rel_err", 1e-12)}
 
-    nprocs, nsteps = 4, 5
-    rho, u, B = orszag_tang(16, 16)
-    clean = run_parallel(rho, u, B, nprocs=nprocs, nsteps=nsteps,
-                         backend=backend)
-    plan = default_plan(seed, crash_rank=2, crash_step=2, nprocs=nprocs)
+
+def _wire_pass(app: App, seed: int, ckdir: str, backend: str) -> str:
+    """One application's wire-fault + crash/restart pass."""
+    steps, crash_rank, crash_step, every, retries = _WIRE_RUN[app.name]
+    case = app.case()
+    clean = case.run(steps, backend=backend)
+    # each app draws its own fault schedule from the pass seed
+    plan = default_plan(seed + APPS.index(app.name), crash_rank=crash_rank,
+                        crash_step=crash_step, nprocs=case.nprocs)
     injector = FaultInjector(plan)
-    transport = Transport(nprocs)
-    faulted = run_parallel(rho, u, B, nprocs=nprocs, nsteps=nsteps,
-                           transport=transport, injector=injector,
-                           checkpoint=Checkpointer(ckdir),
-                           checkpoint_every=2, backend=backend)
-    for name, a, b in zip(("rho", "u", "B"), clean, faulted):
-        if not np.array_equal(a, b):
-            raise AssertionError(f"{name} differs after restart")
-    mass = float(faulted[0].sum())
-    if abs(mass - rho.sum()) > 1e-8:
-        raise AssertionError(f"mass not conserved: {mass}")
+    transport = Transport(case.nprocs)
+    faulted = case.run(steps, backend=backend, transport=transport,
+                       injector=injector, checkpoint=Checkpointer(ckdir),
+                       checkpoint_every=every)
+    fact = app.physics(case, faulted)
+    match = _held(app.compare(clean, faulted), _WIRE_MATCH[app.name])
     if not injector.crash_fired:
         raise AssertionError("planned crash did not fire")
     resends = transport.resend_count()
-    if resends == 0:
+    if retries and resends == 0:
         raise AssertionError("no retries recorded under a 5% drop plan")
-    return (f"bitwise restart OK, mass conserved, "
-            f"{resends} retried messages, faults {injector.counts()}, "
-            f"{_traffic_detail(transport)}")
-
-
-def _chaos_cactus(seed: int, ckdir: str, backend: str = "thread") -> str:
-    from ..apps.cactus import gauge_wave
-    from ..apps.cactus.parallel import run_parallel
-
-    nprocs, nsteps = 2, 4
-    dx = 1.0 / 8
-    g, K, a = gauge_wave((8, 4, 4), dx, amplitude=0.05)
-    clean = run_parallel(g, K, a, nprocs=nprocs, nsteps=nsteps,
-                         spacing=dx, dt=0.2 * dx, backend=backend)
-    plan = default_plan(seed + 1, crash_rank=1, crash_step=2,
-                        nprocs=nprocs)
-    injector = FaultInjector(plan)
-    transport = Transport(nprocs)
-    faulted = run_parallel(g, K, a, nprocs=nprocs, nsteps=nsteps,
-                           spacing=dx, dt=0.2 * dx,
-                           transport=transport, injector=injector,
-                           checkpoint=Checkpointer(ckdir),
-                           checkpoint_every=1, backend=backend)
-    err = max(_rel_err(x, y) for x, y in zip(clean, faulted))
-    if err > 1e-12:
-        raise AssertionError(f"restart deviates: rel err {err:.2e}")
-    if not np.all(np.isfinite(faulted[0])):
-        raise AssertionError("non-finite metric after faulted run")
-    if transport.resend_count() == 0:
-        raise AssertionError("no retries recorded under a 5% drop plan")
-    return (f"restart rel err {err:.1e}, fields finite, "
-            f"{transport.resend_count()} retried messages, "
-            f"{_traffic_detail(transport)}")
-
-
-def _chaos_gtc(seed: int, ckdir: str, backend: str = "thread") -> str:
-    from ..apps.gtc import AnnulusGrid, TorusGeometry, load_ring_perturbation
-    from ..apps.gtc.parallel import run_parallel
-
-    nprocs, nsteps = 2, 3
-    geom = TorusGeometry(AnnulusGrid(0.2, 1.0, 8, 8), 2)
-    parts = load_ring_perturbation(geom, 4.0)
-    clean = run_parallel(geom, parts, nprocs=nprocs, nsteps=nsteps,
-                         backend=backend)
-    plan = default_plan(seed + 2, crash_rank=0, crash_step=1,
-                        nprocs=nprocs)
-    injector = FaultInjector(plan)
-    transport = Transport(nprocs)
-    faulted = run_parallel(geom, parts, nprocs=nprocs, nsteps=nsteps,
-                           transport=transport, injector=injector,
-                           checkpoint=Checkpointer(ckdir),
-                           checkpoint_every=1, backend=backend)
-    n_clean = sum(r.nparticles for r in clean)
-    n_fault = sum(r.nparticles for r in faulted)
-    if n_fault != n_clean or n_fault != len(parts):
-        raise AssertionError(
-            f"particles not conserved: {n_fault} vs {n_clean}")
-    for cr, fr in zip(clean, faulted):
-        if not np.array_equal(cr.tags, fr.tags):
-            raise AssertionError("particle migration differs")
-        if _rel_err(cr.kinetic_energy, fr.kinetic_energy) > 1e-12:
-            raise AssertionError("kinetic energy differs")
-        for p, q in zip(cr.phi_planes, fr.phi_planes):
-            if not np.array_equal(p, q):
-                raise AssertionError("phi differs after restart")
-    return (f"{n_fault} particles conserved, fields bitwise after "
-            f"restart, faults {injector.counts()}, "
-            f"{_traffic_detail(transport)}")
-
-
-def _chaos_paratec(seed: int, ckdir: str, backend: str = "thread") -> str:
-    from ..apps.paratec import silicon_primitive
-    from ..apps.paratec.parallel import solve_bands_parallel
-
-    nprocs = 2
-    cell = silicon_primitive()
-    clean = solve_bands_parallel(cell, 4.0, 4, nprocs=nprocs,
-                                 n_outer=3, n_inner=2, backend=backend)
-    plan = default_plan(seed + 3, crash_rank=1, crash_step=1,
-                        nprocs=nprocs)
-    injector = FaultInjector(plan)
-    faulted = solve_bands_parallel(cell, 4.0, 4, nprocs=nprocs,
-                                   n_outer=3, n_inner=2,
-                                   injector=injector,
-                                   checkpoint=Checkpointer(ckdir),
-                                   checkpoint_every=1, backend=backend)
-    err = _rel_err(clean.eigenvalues, faulted.eigenvalues)
-    if err > 1e-12:
-        raise AssertionError(f"eigenvalues deviate: rel err {err:.2e}")
-    if not injector.crash_fired:
-        raise AssertionError("planned crash did not fire")
-    return f"eigenvalues rel err {err:.1e} after crash/restart"
+    return (f"restart {match}, {fact}, {resends} retried messages, "
+            f"faults {injector.counts()}, {_traffic_detail(transport)}")
 
 
 #: bitwise apps match exactly; iterative/constraint apps to tolerance
@@ -216,12 +147,11 @@ _SDC_TOLERANCE = {"lbmhd": 0.0, "gtc": 0.0, "cactus": 1e-12,
                   "paratec": 1e-10}
 
 
-def _sdc_pass(name: str, seed: int, ckdir: str,
+def _sdc_pass(app: str, seed: int, ckdir: str,
               backend: str = "thread") -> str:
     """One application's SDC chaos pass; raises on any recovery gap."""
     from .health import run_monitored
 
-    app = name.lower()
     run = run_monitored(app, ckdir=ckdir, sdc=True, seed=seed,
                         backend=backend)
     if not run.injector.sdc_records:
@@ -246,14 +176,6 @@ def _sdc_pass(name: str, seed: int, ckdir: str,
             f"at step {flip.step} caught by {det.monitor} after "
             f"{det.latency_steps} step(s); rolled back past the "
             f"corrupted checkpoint; final result {match} vs clean")
-
-
-_APPS: tuple[tuple[str, Callable[[int, str], str]], ...] = (
-    ("LBMHD", _chaos_lbmhd),
-    ("Cactus", _chaos_cactus),
-    ("GTC", _chaos_gtc),
-    ("PARATEC", _chaos_paratec),
-)
 
 
 # -- online rank-failure (kill) pass ---------------------------------------
@@ -289,7 +211,7 @@ def _traced_transport(nprocs: int) -> Transport:
     return transport
 
 
-def _kill_verify(app: str, transport: Transport, ckpt: Checkpointer,
+def _kill_verify(transport: Transport, ckpt: Checkpointer,
                  injector: FaultInjector, *, kill_rank: int,
                  shrink: bool) -> dict:
     """Shared post-run checks; returns the pass's metrics dump."""
@@ -335,154 +257,38 @@ def _kill_verify(app: str, transport: Transport, ckpt: Checkpointer,
     return reg.to_dict()
 
 
-def _kill_lbmhd(ckdir: str, kill_rank: int, kill_step: int,
-                shrink: bool, backend: str = "thread") -> tuple[str, dict]:
-    from ..apps.lbmhd import orszag_tang
-    from ..apps.lbmhd.parallel import run_parallel
-
-    nprocs, nsteps = 4, max(6, kill_step + 3)
-    rho, u, B = orszag_tang(16, 16)
-    clean = run_parallel(rho, u, B, nprocs=nprocs, nsteps=nsteps,
-                         backend=backend)
-    plan = kill_plan(kill_rank=kill_rank, kill_step=kill_step,
-                     nprocs=nprocs)
-    injector = FaultInjector(plan)
-    transport = _traced_transport(nprocs)
-    ckpt = Checkpointer(ckdir)
-    faulted = run_parallel(rho, u, B, nprocs=nprocs, nsteps=nsteps,
-                           transport=transport, injector=injector,
-                           checkpoint=ckpt,
-                           checkpoint_every=_kill_ckpt_every(backend),
-                           spares=0 if shrink else 1,
-                           on_shrink=shrink, backend=backend)
-    for name, a, b in zip(("rho", "u", "B"), clean, faulted):
-        if shrink:
-            if _rel_err(a, b) > 1e-11:
-                raise AssertionError(f"{name} deviates after shrink")
-        elif not np.array_equal(a, b):
-            raise AssertionError(f"{name} differs after online repair")
-    metrics = _kill_verify("lbmhd", transport, ckpt, injector,
-                           kill_rank=kill_rank, shrink=shrink)
-    match = "within 1e-11 of" if shrink else "bit-identical to"
-    return (f"rank {kill_rank} killed at step {kill_step}, "
-            f"{'shrunk to ' + str(nprocs - 1) if shrink else 'respawned'}"
-            f", result {match} the unfaulted run"), metrics
+#: ranks of every kill-pass job (a shrink leaves 3)
+_KILL_NPROCS = 4
+#: shrunk result vs unfaulted: relative for the grid fields, absolute
+#: for GTC's φ and PARATEC's eigenvalues (respawn is always bitwise)
+_SHRINK_MATCH = {"lbmhd": ("rel_err", 1e-11), "cactus": ("rel_err", 1e-11),
+                 "gtc": ("abs_err", 1e-10), "paratec": ("abs_err", 1e-8)}
 
 
-def _kill_cactus(ckdir: str, kill_rank: int, kill_step: int,
-                 shrink: bool, backend: str = "thread") -> tuple[str, dict]:
-    from ..apps.cactus import gauge_wave
-    from ..apps.cactus.parallel import run_parallel
-
-    nprocs, nsteps = 4, max(6, kill_step + 3)
-    dx = 1.0 / 8
-    g, K, a = gauge_wave((8, 8, 4), dx, amplitude=0.05)
-    kw = dict(nprocs=nprocs, nsteps=nsteps, spacing=dx, dt=0.2 * dx,
-              backend=backend)
-    clean = run_parallel(g, K, a, **kw)
+def _kill_pass(app: App, ckdir: str, kill_rank: int, kill_step: int,
+               shrink: bool, backend: str) -> tuple[str, dict]:
+    """One application's online rank-failure pass; returns the detail
+    sentence and the metrics dump."""
+    case = app.case("medium", _KILL_NPROCS)
+    steps = max(6, kill_step + 3)
+    clean = case.run(steps, backend=backend)
     injector = FaultInjector(kill_plan(kill_rank=kill_rank,
                                        kill_step=kill_step,
-                                       nprocs=nprocs))
-    transport = _traced_transport(nprocs)
+                                       nprocs=case.nprocs))
+    transport = _traced_transport(case.nprocs)
     ckpt = Checkpointer(ckdir)
-    faulted = run_parallel(g, K, a, **kw, transport=transport,
-                           injector=injector, checkpoint=ckpt,
-                           checkpoint_every=_kill_ckpt_every(backend),
-                           spares=0 if shrink else 1,
-                           on_shrink=shrink)
-    tol = 1e-11 if shrink else 0.0
-    for x, y in zip(clean, faulted):
-        if tol == 0.0 and not np.array_equal(x, y):
-            raise AssertionError("fields differ after online repair")
-        if tol and _rel_err(x, y) > tol:
-            raise AssertionError("fields deviate after shrink")
-    metrics = _kill_verify("cactus", transport, ckpt, injector,
-                           kill_rank=kill_rank, shrink=shrink)
-    return (f"rank {kill_rank} killed at step {kill_step}, "
-            f"{'shrink' if shrink else 'respawn'} recovered the ADM "
-            f"fields"), metrics
-
-
-def _kill_gtc(ckdir: str, kill_rank: int, kill_step: int,
-              shrink: bool, backend: str = "thread") -> tuple[str, dict]:
-    from ..apps.gtc import AnnulusGrid, TorusGeometry, load_ring_perturbation
-    from ..apps.gtc.parallel import assemble_phi, run_parallel
-
-    nprocs, nsteps = 4, max(6, kill_step + 3)
-    geom = TorusGeometry(AnnulusGrid(0.2, 1.0, 16, 16), 12)
-    parts = load_ring_perturbation(geom, 3.0, mode_m=3, amplitude=0.3,
-                                   seed=1)
-    clean = run_parallel(geom, parts, nprocs=nprocs, nsteps=nsteps,
-                         backend=backend)
-    injector = FaultInjector(kill_plan(kill_rank=kill_rank,
-                                       kill_step=kill_step,
-                                       nprocs=nprocs))
-    transport = _traced_transport(nprocs)
-    ckpt = Checkpointer(ckdir)
-    faulted = run_parallel(geom, parts, nprocs=nprocs, nsteps=nsteps,
-                           transport=transport, injector=injector,
-                           checkpoint=ckpt,
-                           checkpoint_every=_kill_ckpt_every(backend),
-                           spares=0 if shrink else 1,
-                           on_shrink=shrink, backend=backend)
-    n_clean = sum(r.nparticles for r in clean)
-    n_fault = sum(r.nparticles for r in faulted)
-    if n_fault != n_clean or n_fault != len(parts):
-        raise AssertionError(
-            f"particles not conserved: {n_fault} vs {n_clean}")
-    tol = 1e-10 if shrink else 0.0
-    for p, q in zip(assemble_phi(clean), assemble_phi(faulted)):
-        if tol == 0.0 and not np.array_equal(p, q):
-            raise AssertionError("phi differs after online repair")
-        if tol:
-            np.testing.assert_allclose(p, q, atol=tol)
-    metrics = _kill_verify("gtc", transport, ckpt, injector,
-                           kill_rank=kill_rank, shrink=shrink)
-    return (f"rank {kill_rank} killed at step {kill_step}, "
-            f"{n_fault} particles conserved through "
-            f"{'shrink' if shrink else 'respawn'}"), metrics
-
-
-def _kill_paratec(ckdir: str, kill_rank: int, kill_step: int,
-                  shrink: bool, backend: str = "thread") -> tuple[str, dict]:
-    from ..apps.paratec import silicon_primitive
-    from ..apps.paratec.parallel import solve_bands_parallel
-
-    nprocs = 4
-    n_outer = max(6, kill_step + 3)
-    cell = silicon_primitive()
-    kw = dict(nprocs=nprocs, n_outer=n_outer, n_inner=2,
-              backend=backend)
-    clean = solve_bands_parallel(cell, 4.0, 4, **kw)
-    injector = FaultInjector(kill_plan(kill_rank=kill_rank,
-                                       kill_step=kill_step,
-                                       nprocs=nprocs))
-    transport = _traced_transport(nprocs)
-    ckpt = Checkpointer(ckdir)
-    faulted = solve_bands_parallel(cell, 4.0, 4, **kw,
-                                   transport=transport,
-                                   injector=injector, checkpoint=ckpt,
-                                   checkpoint_every=_kill_ckpt_every(backend),
-                                   spares=0 if shrink else 1,
-                                   on_shrink=shrink)
-    if shrink:
-        np.testing.assert_allclose(faulted.eigenvalues,
-                                   clean.eigenvalues, atol=1e-8)
-    elif not np.array_equal(clean.eigenvalues, faulted.eigenvalues):
-        raise AssertionError("eigenvalues differ after online repair")
-    metrics = _kill_verify("paratec", transport, ckpt, injector,
-                           kill_rank=kill_rank, shrink=shrink)
-    return (f"rank {kill_rank} killed at outer iteration {kill_step}, "
-            f"eigenvalues recovered via "
-            f"{'shrink' if shrink else 'respawn'}"), metrics
-
-
-_KILL_APPS: tuple[tuple[str, Callable[..., tuple[str, dict]]], ...] = (
-    ("LBMHD", _kill_lbmhd),
-    ("Cactus", _kill_cactus),
-    ("GTC", _kill_gtc),
-    ("PARATEC", _kill_paratec),
-)
+    faulted = case.run(steps, backend=backend, transport=transport,
+                       injector=injector, checkpoint=ckpt,
+                       checkpoint_every=_kill_ckpt_every(backend),
+                       spares=0 if shrink else 1, on_shrink=shrink)
+    fact = app.physics(case, faulted)
+    match = _held(app.compare(clean, faulted),
+                  _SHRINK_MATCH[app.name] if shrink else None)
+    metrics = _kill_verify(transport, ckpt, injector, kill_rank=kill_rank,
+                           shrink=shrink)
+    how = f"shrunk to {case.nprocs - 1}" if shrink else "respawned"
+    return (f"rank {kill_rank} killed at step {kill_step}, {how}, {fact}, "
+            f"result {match} vs the unfaulted run"), metrics
 
 
 def run_kill_chaos(kill_rank: int = 1, kill_step: int = 3, *,
@@ -505,29 +311,28 @@ def run_kill_chaos(kill_rank: int = 1, kill_step: int = 3, *,
         raise BackendError(
             "shrink recovery is not supported on the process backend; "
             "use respawn (spares) or backend='thread'")
-    selected = [(n, f) for n, f in _KILL_APPS
-                if apps is None or n.lower() in apps]
+    selected = [app for app in CATALOGUE.values()
+                if apps is None or app.name in apps]
     if not selected:
         raise ValueError(f"no applications match {apps!r}")
     outcomes = []
     per_app: dict[str, dict] = {}
     mode = "shrink" if shrink else "respawn"
     with tempfile.TemporaryDirectory(prefix="repro-kill-") as root:
-        for name, fn in selected:
+        for app in selected:
             if echo is not None:
-                echo(f"{name}: kill rank {kill_rank} at step "
+                echo(f"{app.title}: kill rank {kill_rank} at step "
                      f"{kill_step} ({mode}) ...")
             try:
-                detail, metrics = fn(f"{root}/{name.lower()}",
-                                     kill_rank, kill_step, shrink,
-                                     backend)
-                outcomes.append(ChaosOutcome(name, True, detail))
-                per_app[name.lower()] = {"ok": True, "detail": detail,
-                                         "metrics": metrics}
+                detail, metrics = _kill_pass(app, f"{root}/{app.name}",
+                                             kill_rank, kill_step, shrink,
+                                             backend)
+                outcomes.append(ChaosOutcome(app.title, True, detail))
+                per_app[app.name] = {"ok": True, "detail": detail,
+                                     "metrics": metrics}
             except Exception as exc:  # noqa: BLE001 - reported per app
-                outcomes.append(ChaosOutcome(name, False, repr(exc)))
-                per_app[name.lower()] = {"ok": False,
-                                         "detail": repr(exc)}
+                outcomes.append(ChaosOutcome(app.title, False, repr(exc)))
+                per_app[app.name] = {"ok": False, "detail": repr(exc)}
             if echo is not None:
                 last = outcomes[-1]
                 echo(f"  {'ok' if last.ok else 'FAIL'}: {last.detail}")
@@ -559,18 +364,16 @@ def run_chaos(seed: int = 2004,
     outcomes = []
     kind = "SDC plan" if sdc else "fault plan"
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as root:
-        for name, fn in _APPS:
+        for app in CATALOGUE.values():
             if echo is not None:
-                echo(f"{name}: {kind} seed {seed} ...")
+                echo(f"{app.title}: {kind} seed {seed} ...")
+            ckdir = f"{root}/{app.name}"
             try:
-                if sdc:
-                    detail = _sdc_pass(name, seed,
-                                       f"{root}/{name.lower()}", backend)
-                else:
-                    detail = fn(seed, f"{root}/{name.lower()}", backend)
-                outcomes.append(ChaosOutcome(name, True, detail))
+                detail = (_sdc_pass(app.name, seed, ckdir, backend) if sdc
+                          else _wire_pass(app, seed, ckdir, backend))
+                outcomes.append(ChaosOutcome(app.title, True, detail))
             except Exception as exc:  # noqa: BLE001 - reported per app
-                outcomes.append(ChaosOutcome(name, False, repr(exc)))
+                outcomes.append(ChaosOutcome(app.title, False, repr(exc)))
             if echo is not None:
                 last = outcomes[-1]
                 echo(f"  {'ok' if last.ok else 'FAIL'}: {last.detail}")

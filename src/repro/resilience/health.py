@@ -37,10 +37,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
+from ..apps import APPS  # noqa: F401 - re-exported for harnesses
 from ..obs.events import CAT_HEALTH
 
 
@@ -284,8 +285,8 @@ class HealthMonitor:
 # `python -m repro health <app>` report share.
 # ---------------------------------------------------------------------------
 
-#: canonical app order (matches the paper's sections)
-APPS = ("lbmhd", "cactus", "gtc", "paratec")
+#: steps of each app's monitored run (PARATEC: outer CG iterations)
+_STEPS = {"lbmhd": 6, "cactus": 4, "gtc": 4, "paratec": 4}
 
 
 @dataclass
@@ -299,13 +300,6 @@ class MonitoredRun:
     policy: Any                    # RecoveryPolicy (history populated)
     injector: Any                  # FaultInjector or None
     detail: str
-
-
-def _rel_err(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(np.max(np.abs(a - b)
-                        / np.maximum(np.abs(a), 1e-300), initial=0.0))
 
 
 def sdc_plan(app: str, seed: int) -> "Any":
@@ -357,12 +351,12 @@ def run_monitored(app: str, *, ckdir: str, sdc: bool = False,
     """
     from dataclasses import replace
 
+    from ..apps.catalogue import get_app
     from ..runtime.faults import FaultInjector
     from .checkpoint import Checkpointer
     from .supervisor import RecoveryPolicy
 
-    if app not in APPS:
-        raise ValueError(f"unknown app {app!r} (one of {APPS})")
+    entry = get_app(app)
     log = HealthLog()
     health = HealthConfig(check_every=check_every, log=log)
     policy = RecoveryPolicy(max_restarts=3)
@@ -374,121 +368,31 @@ def run_monitored(app: str, *, ckdir: str, sdc: bool = False,
             plan = replace(plan, sdc_once=False)
         injector = FaultInjector(plan)
         checkpoint = Checkpointer(ckdir, injector=injector)
-    runner = _RUNNERS[app]
+    case = entry.case()
+    steps = _STEPS[app]
+    clean = case.run(steps)
     try:
-        rel, bitwise, detail = runner(health, policy, injector,
-                                      checkpoint, backend)
+        monitored = case.run(steps, backend=backend, injector=injector,
+                             checkpoint=checkpoint,
+                             checkpoint_every=1 if sdc else 0,
+                             health=health, policy=policy)
     except RuntimeError as exc:
         # Unrecovered (e.g. persistent corruption aborted by policy):
         # surface the diagnosis instead of a result.
         final = policy.final_failure
-        rel, bitwise = float("inf"), False
         detail = (f"aborted: {final.describe()}" if final is not None
                   else f"aborted: {exc}")
-    return MonitoredRun(app=app, rel_err=rel, bitwise=bitwise, log=log,
-                        policy=policy, injector=injector, detail=detail)
-
-
-def _run_lbmhd(health, policy, injector, checkpoint, backend="thread"):
-    from ..apps.lbmhd import orszag_tang
-    from ..apps.lbmhd.parallel import run_parallel
-
-    nprocs, nsteps = 4, 6
-    rho, u, B = orszag_tang(16, 16)
-    clean = run_parallel(rho, u, B, nprocs=nprocs, nsteps=nsteps)
-    kw = dict(nprocs=nprocs, nsteps=nsteps, health=health,
-              policy=policy, backend=backend)
-    if injector is not None:
-        kw.update(injector=injector, checkpoint=checkpoint,
-                  checkpoint_every=1)
-    monitored = run_parallel(rho, u, B, **kw)
-    rel = max(_rel_err(a, b) for a, b in zip(clean, monitored))
-    bitwise = all(np.array_equal(a, b)
-                  for a, b in zip(clean, monitored))
-    mass = float(monitored[0].sum())
-    return rel, bitwise, (f"mass {mass:.6f}, "
-                          f"{'bitwise' if bitwise else f'rel {rel:.1e}'}"
-                          f" vs clean")
-
-
-def _run_cactus(health, policy, injector, checkpoint, backend="thread"):
-    from ..apps.cactus import gauge_wave
-    from ..apps.cactus.parallel import run_parallel
-
-    nprocs, nsteps = 2, 4
-    dx = 1.0 / 8
-    g, K, a = gauge_wave((8, 4, 4), dx, amplitude=0.05)
-    kw0 = dict(nprocs=nprocs, nsteps=nsteps, spacing=dx, dt=0.2 * dx)
-    clean = run_parallel(g, K, a, **kw0)
-    kw = dict(kw0, health=health, policy=policy, backend=backend)
-    if injector is not None:
-        kw.update(injector=injector, checkpoint=checkpoint,
-                  checkpoint_every=1)
-    monitored = run_parallel(g, K, a, **kw)
-    rel = max(_rel_err(x, y) for x, y in zip(clean, monitored))
-    bitwise = all(np.array_equal(x, y)
-                  for x, y in zip(clean, monitored))
-    return rel, bitwise, f"constraint bounded, rel {rel:.1e} vs clean"
-
-
-def _run_gtc(health, policy, injector, checkpoint, backend="thread"):
-    from ..apps.gtc import (
-        AnnulusGrid,
-        TorusGeometry,
-        load_ring_perturbation,
-    )
-    from ..apps.gtc.parallel import run_parallel
-
-    nprocs, nsteps = 2, 4
-    geom = TorusGeometry(AnnulusGrid(0.2, 1.0, 8, 8), 2)
-    parts = load_ring_perturbation(geom, 4.0)
-    clean = run_parallel(geom, parts, nprocs=nprocs, nsteps=nsteps)
-    kw = dict(nprocs=nprocs, nsteps=nsteps, health=health,
-              policy=policy, backend=backend)
-    if injector is not None:
-        kw.update(injector=injector, checkpoint=checkpoint,
-                  checkpoint_every=1)
-    monitored = run_parallel(geom, parts, **kw)
-    n_clean = sum(r.nparticles for r in clean)
-    n_mon = sum(r.nparticles for r in monitored)
-    if n_mon != n_clean:
-        return float("inf"), False, "particle count diverged"
-    rel = max(_rel_err(cr.kinetic_energy, fr.kinetic_energy)
-              for cr, fr in zip(clean, monitored))
-    bitwise = all(
-        np.array_equal(cr.tags, fr.tags)
-        and all(np.array_equal(p, q)
-                for p, q in zip(cr.phi_planes, fr.phi_planes))
-        for cr, fr in zip(clean, monitored))
-    return rel, bitwise, (f"{n_mon} particles conserved, "
-                          f"energy rel {rel:.1e} vs clean")
-
-
-def _run_paratec(health, policy, injector, checkpoint, backend="thread"):
-    from ..apps.paratec import silicon_primitive
-    from ..apps.paratec.parallel import solve_bands_parallel
-
-    nprocs = 2
-    cell = silicon_primitive()
-    kw0 = dict(nprocs=nprocs, n_outer=4, n_inner=2)
-    clean = solve_bands_parallel(cell, 4.0, 4, **kw0)
-    kw = dict(kw0, health=health, policy=policy, backend=backend)
-    if injector is not None:
-        kw.update(injector=injector, checkpoint=checkpoint,
-                  checkpoint_every=1)
-    monitored = solve_bands_parallel(cell, 4.0, 4, **kw)
-    rel = _rel_err(clean.eigenvalues, monitored.eigenvalues)
-    bitwise = bool(np.array_equal(clean.eigenvalues,
-                                  monitored.eigenvalues))
-    return rel, bitwise, f"eigenvalues rel {rel:.1e} vs clean"
-
-
-_RUNNERS: dict[str, Callable] = {
-    "lbmhd": _run_lbmhd,
-    "cactus": _run_cactus,
-    "gtc": _run_gtc,
-    "paratec": _run_paratec,
-}
+        return MonitoredRun(app, math.inf, False, log, policy, injector,
+                            detail)
+    match = entry.compare(clean, monitored)
+    try:
+        fact = entry.physics(case, monitored)
+    except AssertionError as exc:
+        return MonitoredRun(app, math.inf, False, log, policy, injector,
+                            str(exc))
+    how = "bitwise" if match.bitwise else f"rel {match.rel_err:.1e}"
+    return MonitoredRun(app, match.rel_err, match.bitwise, log, policy,
+                        injector, f"{fact}, {how} vs clean")
 
 
 def render_report(run: MonitoredRun) -> str:

@@ -640,15 +640,18 @@ class _WorkerConfig:
     advance_clocks: bool = False
 
 
-def _collect_fn_state(fn: Callable) -> dict:
-    """Mergeable side-state the rank function accumulated locally.
+def _ledgers(fn: Callable, injector) -> dict:
+    """The append-only ledgers a rank adds to objects the parent owns.
 
-    Driver rank mains expose their resilience collaborators as
-    attributes (``checkpoint``, ``policy``, ``health``); whatever of
-    those exists is snapshotted into the exit report so the parent can
-    fold per-process ledgers back into the caller's objects.
+    The injector logs faults and flips; driver rank mains expose their
+    resilience collaborators as attributes (``checkpoint``, ``policy``,
+    ``health``), whose load counts, recovery events and health checks
+    the parent folds back into the caller's objects.
     """
     state: dict = {}
+    if injector is not None:
+        state["records"] = list(injector.records)
+        state["sdc_records"] = list(injector.sdc_records)
     ck = getattr(fn, "checkpoint", None)
     if ck is not None and hasattr(ck, "load_counts"):
         state["ckpt_loads"] = dict(ck.load_counts)
@@ -662,15 +665,34 @@ def _collect_fn_state(fn: Callable) -> dict:
     return state
 
 
+def _added(state: dict, inherited: dict) -> dict:
+    """What a rank added to its ledgers since it unpickled its program.
+
+    A re-launched job pickles the parent's objects again, ledgers from
+    earlier attempts included; shipping those back would count them
+    once more per rank.
+    """
+    added: dict = {}
+    for key, now in state.items():
+        if key == "ckpt_loads":
+            base = inherited.get(key, {})
+            added[key] = {rank: n - base.get(rank, 0)
+                          for rank, n in now.items()
+                          if n != base.get(rank, 0)}
+        else:
+            added[key] = now[len(inherited.get(key, ())):]
+    return added
+
+
 def _build_report(tp: ProcTransport, fn: Callable,
-                  tracer: Tracer | None) -> dict:
+                  tracer: Tracer | None, inherited: dict) -> dict:
     report = {
         "messages": list(tp.messages),
         "collectives": list(tp.collectives),
         "buffers": tp.buffers,
         "pool": tp.pool.stats(),
         "borrow_log": dict(tp.borrow_log),
-        "fn_state": _collect_fn_state(fn),
+        "ledgers": _added(_ledgers(fn, tp.injector), inherited),
         "trace_path": None,
         "clocks_t": None,
         "body_seconds": None,
@@ -678,8 +700,6 @@ def _build_report(tp: ProcTransport, fn: Callable,
     inj = tp.injector
     if inj is not None:
         report["injector"] = {
-            "records": list(inj.records),
-            "sdc_records": list(inj.sdc_records),
             "crash_fired": inj._crash_fired,
             "kill_fired": inj._kill_fired,
             "sdc_fired": set(inj._sdc_fired),
@@ -710,6 +730,7 @@ def _worker_main(rank: int, program: str, inboxes: list,
                  parent_q) -> None:
     """Entry point of one rank process (spawn start method)."""
     fn, extra, cfg = _read_program(program)
+    inherited = _ledgers(fn, cfg.injector)
     tp = ProcTransport(rank, cfg.nprocs, inboxes, parent_q,
                        shm_prefix=cfg.shm_prefix, epoch=cfg.epoch,
                        timeout=cfg.timeout, injector=cfg.injector,
@@ -746,7 +767,7 @@ def _worker_main(rank: int, program: str, inboxes: list,
         t_body = time.perf_counter()
         result = fn(comm, *extra)
         t_body = time.perf_counter() - t_body
-        report = _build_report(tp, fn, tracer)
+        report = _build_report(tp, fn, tracer, inherited)
         # Kernel-path wall time: the rank program, excluding this
         # rank's own spawn and imports (not waits on slower peers).
         report["body_seconds"] = t_body
@@ -764,12 +785,12 @@ def _worker_main(rank: int, program: str, inboxes: list,
         # no graceful teardown, the parent and survivors must recover.
         # The pump is stopped first so the inbox reader lock is released
         # before os._exit; the replacement reuses this inbox.
-        report = _build_report(tp, fn, tracer)
+        report = _build_report(tp, fn, tracer, inherited)
         tp.stop_pump()
         parent_q.put(("dying", rank, exc.step, report))
         _flush_and_exit(parent_q, KILLED_EXIT)
     except BaseException as exc:  # noqa: BLE001 - shipped to parent
-        report = _build_report(tp, fn, tracer)
+        report = _build_report(tp, fn, tracer, inherited)
         try:
             pickle.dumps(exc)
         except Exception:
@@ -795,27 +816,27 @@ def _merge_report(job, fn: Callable, report: dict) -> None:
         setattr(tp.pool, key,
                 getattr(tp.pool, key) + int(pool.get(key, 0)))
     tp.borrow_log.update(report.get("borrow_log") or {})
+    added = report.get("ledgers") or {}
     inj_state = report.get("injector")
     if inj_state is not None and tp.injector is not None:
         inj = tp.injector
-        inj.records.extend(inj_state["records"])
-        inj.sdc_records.extend(inj_state["sdc_records"])
+        inj.records.extend(added["records"])
+        inj.sdc_records.extend(added["sdc_records"])
         inj._crash_fired = inj._crash_fired or inj_state["crash_fired"]
         inj._kill_fired = inj._kill_fired or inj_state["kill_fired"]
         inj._sdc_fired |= inj_state["sdc_fired"]
         inj._ckpt_fired |= inj_state["ckpt_fired"]
-    fn_state = report.get("fn_state") or {}
     ck = getattr(fn, "checkpoint", None)
-    if ck is not None and "ckpt_loads" in fn_state:
-        for rank, count in fn_state["ckpt_loads"].items():
+    if ck is not None and "ckpt_loads" in added:
+        for rank, count in added["ckpt_loads"].items():
             ck.load_counts[rank] = ck.load_counts.get(rank, 0) + count
     pol = getattr(fn, "policy", None)
-    if pol is not None and "policy_events" in fn_state:
-        pol.events.extend(fn_state["policy_events"])
+    if pol is not None and "policy_events" in added:
+        pol.events.extend(added["policy_events"])
     health = getattr(fn, "health", None)
     log = getattr(health, "log", None)
-    if log is not None and "health_records" in fn_state:
-        for rec in fn_state["health_records"]:
+    if log is not None and "health_records" in added:
+        for rec in added["health_records"]:
             log.append(rec)
     if report.get("clocks_t") is not None:
         tracer = tp.tracer

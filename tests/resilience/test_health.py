@@ -247,3 +247,36 @@ class TestPlanAndMetrics:
         lat = out["histograms"]["health.detection_latency_steps"]
         assert lat["count"] == 1
         assert lat["max"] == 0
+
+
+class TestProcessLedgers:
+    """Process ranks ship back only what they added to the parent's
+    ledgers, not what a re-launch pickled into their program."""
+
+    def test_sdc_rollback_counts_match_thread_backend(self, tmp_path):
+        thread, proc = (run_monitored("cactus", ckdir=str(tmp_path / b),
+                                      sdc=True, backend=b)
+                        for b in ("thread", "process"))
+        assert len(proc.injector.sdc_records) == 1
+        assert len(thread.injector.sdc_records) == 1
+        assert proc.policy.rollbacks() == thread.policy.rollbacks() == 1
+        assert proc.log.summary() == thread.log.summary()
+
+    def test_restarted_job_counts_the_crash_once(self, tmp_path):
+        from repro.apps.gtc import (
+            AnnulusGrid,
+            TorusGeometry,
+            load_ring_perturbation,
+        )
+        from repro.apps.gtc.parallel import run_parallel
+        from repro.resilience.checkpoint import Checkpointer
+        from repro.runtime.faults import FaultInjector, FaultPlan
+
+        geom = TorusGeometry(AnnulusGrid(0.2, 1.0, 8, 8), 2)
+        injector = FaultInjector(FaultPlan(crash_rank=0, crash_step=1))
+        run_parallel(geom, load_ring_perturbation(geom, 4.0), nprocs=2,
+                     nsteps=3, injector=injector,
+                     checkpoint=Checkpointer(str(tmp_path)),
+                     checkpoint_every=1, backend="process")
+        assert injector.crash_fired
+        assert injector.counts() == {"crash": 1}

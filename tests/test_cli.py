@@ -351,6 +351,22 @@ class TestReportCLI:
         assert main(["report"]) == 2
         assert "repro report:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "lbmhd", "--steps", "2", "--nprocs", "2"],
+        ["report", "lbmhd", "--steps", "2", "--nprocs", "2"],
+        ["report", "--trace", "{recorded}/trace.json"],
+    ])
+    def test_out_naming_a_file_is_typed_error(self, capsys, tmp_path,
+                                              recorded, argv):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        argv = [a.format(recorded=recorded) for a in argv]
+        assert main([*argv, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert str(taken) in err
+        assert len(err.strip().splitlines()) == 1
+        assert taken.read_text() == "a file, not a directory"
+
     def test_trace_summary_writes_nothing(self, capsys, tmp_path,
                                           monkeypatch):
         monkeypatch.chdir(tmp_path)
