@@ -94,20 +94,24 @@ def hamiltonian_constraint(geo: Curvature, K_ext: np.ndarray
 
 def momentum_constraint(geo: Curvature, K_ext: np.ndarray,
                         spacing: tuple[float, float, float]) -> np.ndarray:
-    """M_i = D^j K_ij - D_i tr K, on the interior (vacuum: M = 0)."""
+    """M_i = D^j K_ij - D_i tr K, on the interior (vacuum: M = 0).
+
+    Contracted before the covariant derivative is built:
+    D^j K_ij = g^jk d_k K_ij - G^l_ki K_l^k - G^l K_il, with
+    K_l^k = g^kj K_lj and G^l = g^jk G^l_jk.
+    """
     s = geo.shrink
-    dK = grad(K_ext, spacing, geo.order)      # [k,i,j] = d_k K_ij
-    G = geo.christoffel                       # ghost-s region
-    # Covariant derivative D_k K_ij = d_k K_ij - G^l_ki K_lj - G^l_kj K_il
-    K1 = interior(K_ext, s)
-    DK = dK \
-        - np.einsum("lki...,lj...->kij...", G, K1) \
-        - np.einsum("lkj...,il...->kij...", G, K1)
-    ginv1 = geo.gamma_inv
+    K1 = interior(K_ext, s)                   # ghost-s region
     # tr K on the ghost-s region, then its gradient on the interior.
-    trK1 = trace(K1, ginv1)
-    dtrK = grad(trK1, spacing, geo.order)
-    DKi = interior(DK, s)
-    ginv = geo.at_interior(ginv1)
-    MjKij = np.einsum("jk...,kji...->i...", ginv, DKi)
-    return MjKij - dtrK
+    dtrK = grad(trace(K1, geo.gamma_inv), spacing, geo.order)
+    dK = grad(K1, spacing, geo.order)         # [k,i,j] = d_k K_ij
+    ginv = geo.at_interior(geo.gamma_inv)
+    G = geo.at_interior(geo.christoffel)
+    K = interior(K1, s)
+    K_mixed = np.einsum("kj...,lj...->lk...", ginv, K)
+    G_trace = np.einsum("jk...,ljk...->l...", ginv, G)
+    M = np.einsum("jk...,kij...->i...", ginv, dK)
+    M -= np.einsum("lki...,lk...->i...", G, K_mixed)
+    M -= np.einsum("l...,il...->i...", G_trace, K)
+    M -= dtrK
+    return M

@@ -339,7 +339,6 @@ def _lint_run(args: argparse.Namespace, *, tool: str,
         check_trace_deadlocks,
         check_trace_races,
         load_baseline,
-        load_trace,
         rule_names,
         run_lint,
         save_baseline,
@@ -372,12 +371,12 @@ def _lint_run(args: argparse.Namespace, *, tool: str,
     deadlocks = bool(getattr(args, "deadlocks", False))
     if getattr(args, "trace", None):
         try:
-            doc = load_trace(args.trace)
-            new.extend(check_trace(doc, label=args.trace))
+            new.extend(check_trace(args.trace, label=args.trace))
             if races:
-                new.extend(check_trace_races(doc, label=args.trace))
+                new.extend(check_trace_races(args.trace, label=args.trace))
             if deadlocks:
-                new.extend(check_trace_deadlocks(doc, label=args.trace))
+                new.extend(check_trace_deadlocks(args.trace,
+                                                 label=args.trace))
         except TraceError as err:
             print(f"{tool}: {err}", file=sys.stderr)
             return EXIT_CONFIG

@@ -2,12 +2,16 @@
 
 The attribution profiler (:mod:`repro.obs.profile`) and the comm, race
 and deadlock checkers (:mod:`repro.analysis`) replay recorded events
-through this module.  :func:`load_trace` reads every trace file form;
-:func:`spans` and :func:`events` turn any source into per-rank records
-in ``seq`` (program) order, each classified once as a send, recv,
-collective or buffer-epoch instant; :func:`match` pairs sends with
-recvs per channel and groups collective rounds.  Records share the
-source's ``args``, and no source is ever mutated.
+through this module.  :func:`load_trace` reads every trace file form
+and remembers the last file it parsed, keyed by resolved path and a
+SHA-256 of the bytes, so one process parses an unchanged trace once
+however many analyzers load it by path; :func:`spans` and
+:func:`events` turn any source into per-rank records in ``seq``
+(program) order, each classified once as a send, recv, collective or
+buffer-epoch instant; :func:`match` pairs sends with recvs per channel
+and groups collective rounds.  Records share the source's ``args``, and
+no source is ever mutated: a memoized document is shared by every
+caller.
 
 It imports only the standard library and :mod:`.events`: every process
 rank imports :mod:`repro.obs`, so this module rides along.
@@ -15,7 +19,10 @@ rank imports :mod:`repro.obs`, so this module rides along.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import threading
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -49,20 +56,19 @@ class TraceError(RuntimeError):
     """
 
 
-def _read_text(path: Path) -> str:
-    """File contents, transparently gunzipping by magic number."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"\x1f\x8b":
+def _decode(raw: bytes) -> str:
+    """A file's bytes as text, read as ``open`` reads it (UTF-8,
+    universal newlines), transparently gunzipping by magic number."""
+    stream = io.BytesIO(raw)
+    if raw[:2] == b"\x1f\x8b":
         import gzip
         import zlib
         try:
-            with gzip.open(path, "rt", encoding="utf-8") as fh:
+            with gzip.open(stream, "rt", encoding="utf-8") as fh:
                 return fh.read()
         except zlib.error as exc:      # a corrupt deflate stream
             raise gzip.BadGzipFile(str(exc)) from exc
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    return io.TextIOWrapper(stream, encoding="utf-8").read()
 
 
 def _doc_from_jsonl(text: str, path: Path) -> dict[str, Any]:
@@ -110,6 +116,11 @@ def _require_events(doc: Any, where: str) -> dict[str, Any]:
     return doc
 
 
+#: the last trace file parsed: ((resolved path, SHA-256 of its bytes), doc)
+_memo: tuple[tuple[Path, bytes], dict[str, Any]] | None = None
+_memo_lock = threading.Lock()
+
+
 def load_trace(source: str | Path | dict[str, Any]) -> dict[str, Any]:
     """A Chrome trace document from a path or an already-loaded dict.
 
@@ -119,14 +130,39 @@ def load_trace(source: str | Path | dict[str, Any]) -> dict[str, Any]:
     converted to an equivalent Chrome document.  All read/parse
     failures, and a document without ``traceEvents``, surface as
     :class:`TraceError` naming the file.
+
+    The file is read on every call, but parsed only when its resolved
+    path or its bytes differ from the last file parsed: callers that
+    load one unchanged trace share one document, which nothing may
+    mutate.  A failed parse leaves the memo as it was.
     """
+    global _memo
     if isinstance(source, dict):
         return _require_events(source, "trace object")
     path = Path(source)
     try:
-        text = _read_text(path)
+        raw = path.read_bytes()
     except FileNotFoundError as exc:
         raise TraceError(f"cannot read trace {path}: not found") from exc
+    except OSError as exc:
+        raise TraceError(f"cannot read trace {path}: {exc}") from exc
+    # Keyed by content, not mtime: a same-size rewrite within one
+    # timestamp tick must not be served stale.
+    key = (path.resolve(), hashlib.sha256(raw).digest())
+    with _memo_lock:
+        memo = _memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    doc = _parse(raw, path)
+    with _memo_lock:
+        _memo = (key, doc)
+    return doc
+
+
+def _parse(raw: bytes, path: Path) -> dict[str, Any]:
+    """The Chrome document in ``raw``, the bytes of the file ``path``."""
+    try:
+        text = _decode(raw)
     except (OSError, EOFError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
     name = path.name[:-3] if path.name.endswith(".gz") else path.name

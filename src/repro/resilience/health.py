@@ -307,8 +307,14 @@ def sdc_plan(app: str, seed: int) -> "Any":
     bit flip in a named state array mid-run, plus one checkpoint-file
     corruption, no wire faults.
 
-    Bit 62 rescales a float64 by ``2**+-512`` — physically loud, so the
-    invariant monitors must catch it the same step.  PARATEC uses bit 56
+    Bit 62 is the top exponent bit, so its flip is physically loud and
+    the invariant monitors must catch it the same step.  It multiplies
+    |x| in ``[2**-1022, 1)`` by ``2**1024`` (0.4383 -> 7.88e307), turns
+    |x| in ``[1, 2)`` into inf or NaN (1.354 -> NaN), and divides |x| >=
+    4 by ``2**1024``; |x| in ``[2, 4)`` lands among the subnormals (3.0
+    -> 1.1e-308).  GTC's flip of ``v_par`` (1.354) therefore lands on
+    NaN and is caught only by the ``gtc.finite`` guard, while the energy
+    and particle-count monitors stay ``ok``.  PARATEC uses bit 56
     (``x 65536``): large enough to break variational monotonicity, small
     enough that the Gram matrix stays finite (overflowing to ``inf``
     would fail in ``cholesky`` before any monitor runs, which would test

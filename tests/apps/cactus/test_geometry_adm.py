@@ -48,6 +48,22 @@ def _curvature_reference(gamma_ext, spacing, order):
     return gamma_sym, symmetrize(d_k_G_kij - d_i_G_kkj + GG1 - GG2)
 
 
+def _momentum_reference(geo, K_ext, spacing):
+    """The textbook form: all 27 components of the covariant derivative
+    D_k K_ij, then the contraction g^jk D_k K_ij - d_i tr K."""
+    s = geo.shrink
+    dK = grad(K_ext, spacing, geo.order)
+    G = geo.christoffel
+    K1 = interior(K_ext, s)
+    DK = dK \
+        - np.einsum("lki...,lj...->kij...", G, K1) \
+        - np.einsum("lkj...,il...->kij...", G, K1)
+    dtrK = grad(np.einsum("ij...,ij...->...", geo.gamma_inv, K1), spacing,
+                geo.order)
+    ginv = geo.at_interior(geo.gamma_inv)
+    return np.einsum("jk...,kji...->i...", ginv, interior(DK, s)) - dtrK
+
+
 def _random_metric(shape, seed, amplitude=0.05):
     """delta_ij plus seeded noise, bitwise symmetric in (i, j)."""
     a = amplitude * np.random.default_rng(seed).standard_normal(
@@ -152,6 +168,23 @@ class TestConstraints:
             geo = curvature(extended(g), (h, h, h))
             errs.append(np.abs(ricci_scalar(geo) + 8.0 * lap).max())
         assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.4)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_momentum_matches_textbook_reference(self, order):
+        """Contracting before building D_k K_ij changes only rounding."""
+        spacing = (0.1, 0.12, 0.09)
+        ghost = ghost_for(order)
+        geo = curvature(extended(_random_metric((10, 9, 8), seed=order),
+                                 ghost), spacing, order)
+        K = _random_metric((10, 9, 8), seed=40 + order, amplitude=0.3) \
+            - identity_metric((10, 9, 8))
+        K_ext = extended(K, ghost)
+        got = momentum_constraint(geo, K_ext, spacing)
+        ref = _momentum_reference(geo, K_ext, spacing)
+        assert got.shape == ref.shape == (3, 10, 9, 8)
+        assert np.abs(ref).max() > 1.0
+        np.testing.assert_allclose(
+            got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
     def test_nonzero_K_violates_hamiltonian(self):
         g, K, _ = minkowski((8, 8, 8))

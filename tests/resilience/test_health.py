@@ -234,6 +234,19 @@ class TestPlanAndMetrics:
         with pytest.raises(KeyError):
             sdc_plan("nope", 7)
 
+    def test_bit62_flip_outcomes(self):
+        """The three outcomes the ``sdc_plan`` docstring promises."""
+        from repro.runtime.faults import _flip_float64_bit
+
+        arr = np.array([0.4383, 1.354, 3.0])
+        flipped = [_flip_float64_bit(arr, i, 62)[2] for i in range(3)]
+        assert flipped[0] == 0.4383 * 2.0**512 * 2.0**512
+        assert flipped[0] == pytest.approx(7.88e307, rel=1e-3)
+        assert np.isnan(flipped[1])
+        assert flipped[2] == 2.0**-1023
+        assert flipped[2] == pytest.approx(1.1e-308, rel=0.02)
+        assert sdc_plan("gtc", 7).sdc_bit == 62
+
     def test_ingest_recovery_counts_events(self, tmp_path):
         run = run_monitored("lbmhd", ckdir=str(tmp_path), sdc=True,
                             seed=2004)

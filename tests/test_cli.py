@@ -254,24 +254,24 @@ class TestAnalyzeCLI:
         assert f"cannot read trace {trace}" in err
         assert "Traceback" not in err
 
-    def test_analyze_reads_the_trace_file_once(self, capsys, tmp_path,
-                                               monkeypatch):
+    def test_analyze_parses_the_trace_file_once(self, capsys, tmp_path,
+                                                monkeypatch):
         from repro.obs import replay
 
         trace = self._racy_trace(tmp_path)
-        reads = []
-        read_text = replay._read_text
+        parses = []
+        parse = replay._parse
 
-        def counting(path):
-            reads.append(path)
-            return read_text(path)
+        def counting(raw, path):
+            parses.append(path)
+            return parse(raw, path)
 
-        monkeypatch.setattr(replay, "_read_text", counting)
+        monkeypatch.setattr(replay, "_parse", counting)
         (tmp_path / "empty.py").write_text("x = 1\n")
         assert main(["analyze", str(tmp_path / "empty.py"), "--races",
                      "--deadlocks", "--trace", str(trace)]) == 4
         assert "trace-race" in capsys.readouterr().out
-        assert len(reads) == 1
+        assert len(parses) == 1
 
     def test_analyze_trace_replay_accepts_recorded_run(self, capsys,
                                                        tmp_path):
