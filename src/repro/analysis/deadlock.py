@@ -1,7 +1,8 @@
 """Wait-for-graph deadlock detector: trace replay + static ordering.
 
-**Dynamic half** — :func:`check_trace_deadlocks` reuses the
-:mod:`~repro.analysis.racecheck` replay: a trace from a hung run (the
+**Dynamic half** — :func:`check_trace_deadlocks` reads the same
+vector-clock replay as :mod:`~repro.analysis.racecheck` (for a
+memoized trace, the very same result): a trace from a hung run (the
 recv timeout fires, so the blocked spans *are* recorded) leaves ranks
 holding un-enabled ops at end of replay.  Each blocked rank contributes
 wait-for edges — a recv waiter points at its source rank, a collective
@@ -30,7 +31,7 @@ from .commcheck import (_mentions_word, _rank_dependent,
                         _rank_tainted_names, extract_comm_ops)
 from .engine import LintRule, register
 from .findings import Finding, sort_findings
-from .racecheck import Op, ReplayResult, _trace_label, replay
+from .racecheck import Op, ReplayResult, _replayed, _trace_label
 
 RULE_CYCLE = "trace-deadlock-cycle"
 RULE_BLOCKED = "trace-blocked-rank"
@@ -86,7 +87,7 @@ def _cycle_members(edges: dict[int, set[int]]) -> set[int]:
 def check_trace_deadlocks(source: Any,
                           label: str | None = None) -> list[Finding]:
     """Replay a trace; report wait-for cycles among blocked ranks."""
-    rep = replay(source)
+    rep = _replayed(source)
     label = _trace_label(source, label)
     if not rep.blocked:
         return []

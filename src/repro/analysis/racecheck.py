@@ -8,13 +8,14 @@ precisely because nothing copies — which means nothing *isolates*
 either, and an owner that reclaims too early overwrites halos its
 neighbours are still reading.  This module proves the ordering instead:
 
-**Dynamic half** — :func:`check_trace_races` replays a recorded trace
-(a live :class:`~repro.obs.tracer.Tracer`, a Chrome ``trace.json``, or
-an ``events.jsonl`` log) into per-rank vector clocks.  The trace-replay
-core (:mod:`repro.obs.replay`) matches message edges (k-th send on
-``(src, dst, tag)`` pairs with the k-th recv) and collective rounds (the
-k-th occurrence of each collective name per rank, joined as a
-barrier).  The runtime emits lightweight
+**Dynamic half** — :func:`check_trace_races` reads the vector-clock
+replay of a recorded trace (a live :class:`~repro.obs.tracer.Tracer`, a
+Chrome ``trace.json``, or an ``events.jsonl`` log) from the trace-replay
+core (:mod:`repro.obs.replay`), which matches message edges (k-th send
+on ``(src, dst, tag)`` pairs with the k-th recv) and collective rounds
+(the k-th occurrence of each collective name per rank, joined as a
+barrier) and replays a memoized trace once for this checker and the
+deadlock checker.  The runtime emits lightweight
 ``buf-epoch`` instants (``publish`` when a borrow freezes a buffer for
 flight, ``read`` when a receiver observes it, ``reclaim`` when the
 owner thaws it) — a write epoch is the interval from a ``reclaim`` to
@@ -39,12 +40,11 @@ epoch-tracked, and an untraced run (NullTracer) records nothing.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-from ..obs.replay import (COLLECTIVE, EPOCH, RECV, Event, events,
-                          load_trace, match)
+from ..obs.replay import (EPOCH, Event, ReplayResult, events,
+                          happens_before, load_trace, replay)
 from .commcheck import _is_comm_receiver, _positional
 from .engine import LintRule, register
 from .findings import Finding, sort_findings
@@ -55,122 +55,25 @@ RULE_RACE = "trace-race"
 RACE_RULES = ("send-then-mutate", "write-after-borrow",
               "escaped-zero-copy-view")
 
-
-# ---------------------------------------------------------------------------
-# vector-clock replay
-# ---------------------------------------------------------------------------
-
-@dataclass(slots=True, eq=False)
-class Op(Event):
-    """One trace event in replay form, with its replayed vector clock."""
-
-    #: vector clock *after* this op executed; ``None`` until processed
-    vc: list[int] | None = None
-    #: collective round index (k-th occurrence of ``name`` on this rank)
-    round_index: int = -1
-
-    @property
-    def site(self) -> str:
-        return str(self.args.get("site", "<unknown site>"))
-
+#: one trace event in replay form (the core's record, with its clock)
+Op = Event
 
 def load_ops(source: Any) -> dict[int, list[Op]]:
-    """Per-rank, program-ordered op lists from any trace source."""
+    """Per-rank, program-ordered op lists from any trace source.
+
+    The lists of a trace file are the memoized trace's shared records:
+    read them, never mutate them.
+    """
+    return events(source).by_rank
+
+
+def _replayed(source: Any) -> ReplayResult:
+    """:func:`replay` of ``source``.  The race and deadlock entry
+    points both load a path here, through this module's ``load_trace``
+    (the name perfbench's traced ledger wraps)."""
     if isinstance(source, (str, Path)):
         source = load_trace(source)
-    return events(source, Op).by_rank
-
-
-@dataclass
-class ReplayResult:
-    """Vector-clocked ops plus end-of-trace progress state."""
-
-    nranks: int
-    by_rank: dict[int, list[Op]]
-    #: rank -> the op it could not execute (empty for a complete trace)
-    blocked: dict[int, Op] = field(default_factory=dict)
-    #: rank -> (name, round) it is parked at, for blocked collectives
-    parked: dict[int, tuple[str, int]] = field(default_factory=dict)
-    #: (name, round) -> participating ranks
-    rounds: dict[tuple[str, int], set[int]] = field(default_factory=dict)
-    #: id(recv Op) -> matched send Op
-    matched_send: dict[int, Op] = field(default_factory=dict)
-
-
-def happens_before(a: Op, b: Op) -> bool:
-    """True when ``a`` is ordered before ``b`` under the replayed VCs."""
-    if a.vc is None or b.vc is None:
-        return False
-    return b.vc[a.rank] >= a.vc[a.rank]
-
-
-def replay(source: Any) -> ReplayResult:
-    """Replay a trace into vector clocks; detect end-of-trace blocking.
-
-    The simulation advances each rank through its recorded ops: local
-    ops and sends are always enabled; a recv is enabled once its
-    FIFO-matched send has executed (and never, if no send matches); a
-    collective round fires when every participating rank is parked at
-    its k-th occurrence.  Ranks left holding an un-enabled op when no
-    further progress is possible are *blocked* — on a complete trace of
-    a finished run the set is empty, and on a deadlocked run it is
-    exactly the ranks the deadlock caught.
-    """
-    by_rank = load_ops(source)
-    ranks = sorted(by_rank)
-    nranks = (max(ranks) + 1) if ranks else 0
-    res = ReplayResult(nranks=nranks, by_rank=by_rank)
-
-    matching = match(by_rank)
-    res.matched_send = {id(recv): send for _, send, recv in matching.pairs}
-    for (name, k), ops in matching.rounds.items():
-        res.rounds[(name, k)] = {op.rank for op in ops}
-        for op in ops:
-            op.round_index = k
-
-    vc = {r: [0] * nranks for r in ranks}
-    idx = {r: 0 for r in ranks}
-    progress = True
-    while progress:
-        progress = False
-        for r in ranks:
-            while idx[r] < len(by_rank[r]):
-                op = by_rank[r][idx[r]]
-                if op.kind == RECV:
-                    send_op = res.matched_send.get(id(op))
-                    if send_op is None or send_op.vc is None:
-                        break                     # blocked on the wire
-                    vc[r][r] += 1
-                    vc[r] = [max(a, b) for a, b in zip(vc[r], send_op.vc)]
-                    op.vc = list(vc[r])
-                elif op.kind == COLLECTIVE:
-                    round_key = (op.name, op.round_index)
-                    res.parked[r] = round_key
-                    waiting = {p for p, w in res.parked.items()
-                               if w == round_key}
-                    if waiting != res.rounds[round_key]:
-                        break                     # parked at the round
-                    members = sorted(waiting)
-                    for p in members:
-                        vc[p][p] += 1
-                    joint = [max(vc[p][i] for p in members)
-                             for i in range(nranks)]
-                    for p in members:
-                        vc[p] = list(joint)
-                        by_rank[p][idx[p]].vc = list(joint)
-                        idx[p] += 1
-                        del res.parked[p]
-                    progress = True
-                    continue   # idx[r] already advanced with the round
-                else:
-                    vc[r][r] += 1
-                    op.vc = list(vc[r])
-                idx[r] += 1
-                progress = True
-    for r in ranks:
-        if idx[r] < len(by_rank[r]):
-            res.blocked[r] = by_rank[r][idx[r]]
-    return res
+    return replay(source)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +100,7 @@ def check_trace_races(source: Any,
     of the shared storage.  Two reclaims of one buffer on different
     ranks must themselves be ordered (write-write).
     """
-    rep = replay(source)
+    rep = _replayed(source)
     label = _trace_label(source, label)
     # Epoch events per buffer, replay-reachable ones only (events after
     # a blocked op never executed; the deadlock checker owns those).

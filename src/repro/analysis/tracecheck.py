@@ -21,7 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from ..obs.replay import load_trace, match, spans
+from ..obs.replay import _matched_spans, load_trace
 from .findings import Finding, sort_findings
 
 _RULE_SEND = "trace-unconsumed-send"
@@ -36,8 +36,7 @@ def check_trace(source: Any, label: str | None = None) -> list[Finding]:
                  else "<trace>")
     if isinstance(source, (str, Path)):
         source = load_trace(source)
-    trace = spans(source)
-    matching = match(trace.by_rank)
+    trace, matching = _matched_spans(source)
 
     findings: list[Finding] = []
     for (src, dst, tag), (posted, consumed) in matching.unmatched.items():

@@ -43,8 +43,9 @@ analyzed offline (``repro report --trace trace.json``).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any
 
 from .events import CAT_COMM, CAT_PHASE, CAT_SYNC
@@ -464,26 +465,41 @@ class CriticalPath:
         return sum(j.wait_s for j in self.jumps)
 
 
-def _phase_intervals(graph: CausalGraph
-                     ) -> dict[int, list[tuple[float, float, str]]]:
+#: one rank's depth-0 phases: (start, end, name) sorted, their starts,
+#: and the running maximum of their ends
+_PhaseIndex = tuple[list[tuple[float, float, str]], list[float],
+                    list[float]]
+
+
+def _phase_intervals(graph: CausalGraph) -> dict[int, _PhaseIndex]:
     out: dict[int, list[tuple[float, float, str]]] = {}
     for act in graph.activities:
         if act.cat == CAT_PHASE and act.depth == 0:
             out.setdefault(act.rank, []).append(
                 (act.start, act.end, act.name))
-    for rank in out:
-        out[rank].sort()
-    return out
+    index: dict[int, _PhaseIndex] = {}
+    for rank, ivs in out.items():
+        ivs.sort()
+        index[rank] = (ivs, [s for s, _, _ in ivs],
+                       list(accumulate((e for _, e, _ in ivs), max)))
+    return index
 
 
-def _segment_phase(intervals: list[tuple[float, float, str]],
-                   t0: float, t1: float,
+def _segment_phase(index: _PhaseIndex, t0: float, t1: float,
                    by_phase: dict[str, float]) -> str | None:
-    """Charge [t0, t1] overlap to phases; return the dominant one."""
+    """Charge [t0, t1] overlap to phases; return the dominant one.
+
+    Only intervals from the first whose running end maximum passes
+    ``t0`` to the last starting before ``t1`` can overlap; they are
+    visited in sorted order, so the float sums do not depend on the
+    bisection.
+    """
+    intervals, starts, max_ends = index
     best, best_overlap = None, 0.0
     covered = 0.0
-    for (s, e, name) in intervals:
-        if e <= t0 or s >= t1:
+    for i in range(bisect_right(max_ends, t0), bisect_left(starts, t1)):
+        s, e, name = intervals[i]
+        if e <= t0:
             continue
         overlap = min(e, t1) - max(s, t0)
         covered += overlap
@@ -536,7 +552,8 @@ def critical_path(graph: CausalGraph) -> CriticalPath:
     def emit(rank: int, t0: float, t1: float) -> None:
         if t1 - t0 <= 0.0:
             return
-        phase = _segment_phase(phase_ivs.get(rank, []), t0, t1, by_phase)
+        phase = _segment_phase(phase_ivs.get(rank, ([], [], [])),
+                               t0, t1, by_phase)
         segments.append(PathSegment(rank=rank, t0=t0, t1=t1, phase=phase))
 
     while len(segments) < _MAX_PATH_SEGMENTS:

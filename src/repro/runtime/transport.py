@@ -32,6 +32,8 @@ Failure semantics
 receiver with :class:`TransportPoisonedError`.  The job driver poisons
 the transport when a rank fails (or when the join times out), so ranks
 stuck in ``recv`` unwind promptly instead of waiting out their timeout.
+A receiver whose box already holds a message still takes it, and
+raises once the box is empty.
 :meth:`Transport.reset` clears mailboxes, sequence state and the poison
 flag — message/collective records are kept — which is what a supervised
 restart needs before re-running ranks from a checkpoint.
@@ -782,7 +784,10 @@ class Transport:
                     or (sensitive and self._failure_pending())
                     or bool(self._boxes[key]),
                     max(0.0, deadline - time.monotonic()))
-                self._raise_if_poisoned()
+                # A delivered message wins over a poison: a collective's
+                # root may post its result and then fail.
+                if not self._boxes[key]:
+                    self._raise_if_poisoned()
                 if sensitive and self._failure_pending():
                     self.raise_rank_failed()
                 if not ok:

@@ -1,6 +1,8 @@
 """Cross-rank attribution pipeline: graph, waits, critical path, report."""
 
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +23,9 @@ from repro.obs.profile import (
     BETWEEN_PHASES,
     WAIT_COLLECTIVE,
     WAIT_LATE_SENDER,
+    Activity,
+    _phase_intervals,
+    _segment_phase,
     attribute,
     build_graph,
     classify_waits,
@@ -260,6 +265,63 @@ class TestCriticalPath:
         # ... while attribution still accounts the 0.8 s barrier wait
         attr = attribute(graph)
         assert attr.waits[WAIT_COLLECTIVE] == pytest.approx(0.8)
+
+
+def _segment_phase_linear(intervals, t0, t1, by_phase):
+    """The linear scan over every phase interval, as the reference."""
+    best, best_overlap = None, 0.0
+    covered = 0.0
+    for (s, e, name) in intervals:
+        if e <= t0 or s >= t1:
+            continue
+        overlap = min(e, t1) - max(s, t0)
+        covered += overlap
+        by_phase[name] = by_phase.get(name, 0.0) + overlap
+        if overlap > best_overlap:
+            best, best_overlap = name, overlap
+    rest = (t1 - t0) - covered
+    if rest > 0.0:
+        by_phase[BETWEEN_PHASES] = by_phase.get(BETWEEN_PHASES, 0.0) + rest
+    if rest > best_overlap:
+        best = None
+    return best
+
+
+class TestSegmentPhase:
+    def test_bisect_matches_linear_scan(self):
+        rng = random.Random(2004)
+        unsorted_ends = 0
+        for _ in range(300):
+            acts = []
+            for k in range(rng.randrange(40)):
+                start = rng.uniform(0.0, 10.0)
+                dur = rng.choice([0.0, rng.expovariate(2.0),
+                                  rng.uniform(0.0, 8.0)])
+                acts.append(Activity(index=k, rank=0,
+                                     name=f"p{rng.randrange(4)}",
+                                     cat=CAT_PHASE, start=start,
+                                     end=start + dur, seq=k))
+            graph = SimpleNamespace(activities=acts)
+            index = _phase_intervals(graph).get(0, ([], [], []))
+            ivs = index[0]
+            ends = [e for _, e, _ in ivs]
+            unsorted_ends += ends != sorted(ends)
+            edges = [t for s, e, _ in ivs for t in (s, e)]
+            fast, slow = {}, {}
+            for _ in range(25):
+                if edges and rng.random() < 0.4:
+                    t0 = rng.choice(edges)      # exactly on a boundary
+                else:
+                    t0 = rng.uniform(-1.0, 11.0)
+                t1 = t0 + rng.choice([rng.uniform(0.0, 0.5),
+                                      rng.uniform(0.0, 12.0)])
+                if edges and rng.random() < 0.2:
+                    t1 = max(t0, rng.choice(edges))
+                assert (_segment_phase(index, t0, t1, fast)
+                        == _segment_phase_linear(ivs, t0, t1, slow))
+            # Same intervals in the same order: bit-identical sums.
+            assert list(fast.items()) == list(slow.items())
+        assert unsorted_ends > 100
 
 
 class TestReportDocument:

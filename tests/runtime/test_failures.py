@@ -98,6 +98,16 @@ class TestPoisoning:
         with pytest.raises(TransportPoisonedError):
             tr.fetch(0, 1, 0, timeout=1.0)
 
+    def test_delivered_message_wins_over_poison(self):
+        # A collective's root posts its result, then fails: the poison
+        # lands after the message, and the receiver still takes it.
+        tr = Transport(2)
+        tr.post(0, 1, 0, b"x", 1)
+        tr.poison("test")
+        assert tr.fetch(0, 1, 0, timeout=1.0) == b"x"
+        with pytest.raises(TransportPoisonedError):
+            tr.fetch(0, 1, 0, timeout=1.0)
+
     def test_reset_clears_poison_and_mailboxes(self):
         tr = Transport(2)
         tr.post(0, 1, 0, b"x", 1)
