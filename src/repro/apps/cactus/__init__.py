@@ -1,25 +1,6 @@
 """Cactus: 3+1 vacuum ADM general-relativity evolver (astrophysics, §5)."""
 
-from .adm import GAUGES, adm_rhs, lapse_rhs
-from .boundaries import apply_sommerfeld, radius_on_face, sommerfeld_rhs_face
-from .geometry import (
-    Curvature,
-    curvature,
-    hamiltonian_constraint,
-    momentum_constraint,
-    ricci_scalar,
-)
-from .initial import brill_pulse, gauge_wave, minkowski, random_perturbation
-from .mol import INTEGRATORS, euler_step, icn_step, rk4_step
-from .parallel import run_parallel
-from .profile import (
-    CactusConfig,
-    build_profile,
-    cactus_porting,
-    table5_configs,
-)
-from .solver import CactusSolver, ConstraintNorms
-from .stencils import ghost_for, kreiss_oliger
+from ... import _compat
 
 __all__ = [
     "CactusConfig", "CactusSolver", "ConstraintNorms", "Curvature",
@@ -31,3 +12,19 @@ __all__ = [
     "sommerfeld_rhs_face", "table5_configs", "ghost_for",
     "kreiss_oliger",
 ]
+
+__getattr__, __dir__ = _compat.lazy_exports(__name__, {
+    "adm": ("GAUGES", "adm_rhs", "lapse_rhs"),
+    "boundaries": ("apply_sommerfeld", "radius_on_face",
+                   "sommerfeld_rhs_face"),
+    "geometry": ("Curvature", "curvature", "hamiltonian_constraint",
+                 "momentum_constraint", "ricci_scalar"),
+    "initial": ("brill_pulse", "gauge_wave", "minkowski",
+                "random_perturbation"),
+    "mol": ("INTEGRATORS", "euler_step", "icn_step", "rk4_step"),
+    "parallel": ("run_parallel",),
+    "profile": ("CactusConfig", "build_profile", "cactus_porting",
+                "table5_configs"),
+    "solver": ("CactusSolver", "ConstraintNorms"),
+    "stencils": ("ghost_for", "kreiss_oliger"),
+})

@@ -13,12 +13,11 @@ integration tests assert.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ...resilience.checkpoint import Checkpointer
-from ...resilience.health import HealthConfig, HealthMonitor
 from ...resilience.online import OnlineRunner
-from ...resilience.supervisor import RecoveryPolicy, ResilientJob
 from ...runtime import (
     BlockND,
     Comm,
@@ -30,6 +29,11 @@ from ...runtime import (
 )
 from .solver import CactusSolver
 from .stencils import extend
+
+if TYPE_CHECKING:
+    from ...resilience.checkpoint import Checkpointer
+    from ...resilience.health import HealthConfig
+    from ...resilience.supervisor import RecoveryPolicy
 
 
 class _RankCactus(CactusSolver):
@@ -155,6 +159,7 @@ def run_parallel(gamma: np.ndarray, K: np.ndarray, alpha: np.ndarray, *,
     job = ParallelJob(nprocs, transport=transport, injector=injector,
                       sanitize=sanitize, spares=spares, backend=backend)
     if injector is not None or checkpoint is not None or policy is not None:
+        from ...resilience.supervisor import ResilientJob
         results = ResilientJob(job, max_restarts=max_restarts,
                                policy=policy,
                                checkpoint=checkpoint).run(rank_main)
@@ -215,8 +220,10 @@ def _cactus_rank_body(comm: Comm, gamma, K, alpha, *, spacing, dt, gauge,
                       on_shrink):
     """One rank's full Cactus program (shared by both backends)."""
     shape = gamma.shape[2:]
-    monitor = HealthMonitor(comm, health) if health is not None \
-        else None
+    monitor = None
+    if health is not None:
+        from ...resilience.health import HealthMonitor
+        monitor = HealthMonitor(comm, health)
     tracer = comm.transport.tracer
 
     def build(dc: BlockND) -> _RankCactus:

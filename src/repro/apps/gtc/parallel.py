@@ -14,13 +14,11 @@ exact up to floating-point summation order (integration-tested at 1e-12).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...resilience.checkpoint import Checkpointer
-from ...resilience.health import HealthConfig, HealthMonitor
 from ...resilience.online import OnlineRunner
-from ...resilience.supervisor import RecoveryPolicy, ResilientJob
 from ...runtime import (
     Block1D,
     Comm,
@@ -34,6 +32,11 @@ from .grid import TorusGeometry
 from .particles import ParticleArray
 from .shift import shift_particles
 from .solver import GTCSolver
+
+if TYPE_CHECKING:
+    from ...resilience.checkpoint import Checkpointer
+    from ...resilience.health import HealthConfig
+    from ...resilience.supervisor import RecoveryPolicy
 
 
 @dataclass
@@ -105,6 +108,7 @@ def run_parallel(geometry: TorusGeometry, particles: ParticleArray, *,
     job = ParallelJob(nprocs, transport=transport, injector=injector,
                       sanitize=sanitize, spares=spares, backend=backend)
     if injector is not None or checkpoint is not None or policy is not None:
+        from ...resilience.supervisor import ResilientJob
         results = ResilientJob(job, max_restarts=max_restarts,
                                policy=policy,
                                checkpoint=checkpoint).run(rank_main)
@@ -149,8 +153,10 @@ def _gtc_rank_body(comm: Comm, geometry, particles, *, nsteps, dt, alpha,
                    checkpoint_every, health, policy,
                    on_shrink) -> GTCRankResult:
     """One rank's full GTC program (shared by both backends)."""
-    monitor = HealthMonitor(comm, health) if health is not None \
-        else None
+    monitor = None
+    if health is not None:
+        from ...resilience.health import HealthMonitor
+        monitor = HealthMonitor(comm, health)
     tracer = comm.transport.tracer
 
     def build(pool: ParticleArray) -> GTCSolver:

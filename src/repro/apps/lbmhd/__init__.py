@@ -1,12 +1,6 @@
 """LBMHD: 2D magnetohydrodynamic lattice-Boltzmann (plasma physics, §3)."""
 
-from . import instrumentation
-from .collision import collide, resistivity, viscosity
-from .initial import cross_current_sheets, orszag_tang
-from .lattice import D2Q9, OCT9, Lattice, stream_all
-from .parallel import run_parallel
-from .profile import LBMHDConfig, build_profile, table3_configs
-from .solver import Diagnostics, LBMHDSolver
+from ... import _compat
 
 __all__ = [
     "instrumentation",
@@ -15,3 +9,13 @@ __all__ = [
     "resistivity", "run_parallel", "stream_all", "table3_configs",
     "viscosity",
 ]
+
+__getattr__, __dir__ = _compat.lazy_exports(__name__, {
+    "instrumentation": (),
+    "collision": ("collide", "resistivity", "viscosity"),
+    "initial": ("cross_current_sheets", "orszag_tang"),
+    "lattice": ("D2Q9", "OCT9", "Lattice", "stream_all"),
+    "parallel": ("run_parallel",),
+    "profile": ("LBMHDConfig", "build_profile", "table3_configs"),
+    "solver": ("Diagnostics", "LBMHDSolver"),
+})

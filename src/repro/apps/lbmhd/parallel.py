@@ -19,13 +19,11 @@ integration tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...resilience.checkpoint import Checkpointer
-from ...resilience.health import HealthConfig, HealthMonitor
 from ...resilience.online import OnlineRunner
-from ...resilience.supervisor import RecoveryPolicy, ResilientJob
 from ...runtime import (
     BackendError,
     BlockND,
@@ -42,6 +40,11 @@ from .collision import collide
 from .equilibrium import f_equilibrium, g_equilibrium, moments
 from .fused import FusedStepper
 from .lattice import _CUBIC_NODES, D2Q9, Lattice, lagrange_weights
+
+if TYPE_CHECKING:
+    from ...resilience.checkpoint import Checkpointer
+    from ...resilience.health import HealthConfig
+    from ...resilience.supervisor import RecoveryPolicy
 
 #: the 8 halo directions (dy, dx)
 _DIRS: tuple[tuple[int, int], ...] = (
@@ -256,8 +259,10 @@ def _lbmhd_rank_body(comm: Comm, rho, u, B, lattice, tau, tau_m,
                      health, policy, on_shrink) -> RankResult:
     """One rank's full LBMHD program (shared by both backends)."""
     stepper = FusedStepper(lattice, tau, tau_m) if fused else None
-    monitor = HealthMonitor(comm, health) if health is not None \
-        else None
+    monitor = None
+    if health is not None:
+        from ...resilience.health import HealthMonitor
+        monitor = HealthMonitor(comm, health)
     tracer = comm.transport.tracer
 
     def build(dc: BlockND):
@@ -538,6 +543,7 @@ def run_parallel(rho: np.ndarray, u: np.ndarray, B: np.ndarray, *,
     job = ParallelJob(nprocs, transport=transport, injector=injector,
                       sanitize=sanitize, spares=spares, backend=backend)
     if injector is not None or checkpoint is not None or policy is not None:
+        from ...resilience.supervisor import ResilientJob
         results = ResilientJob(job, max_restarts=max_restarts,
                                policy=policy,
                                checkpoint=checkpoint).run(rank_main)

@@ -1,37 +1,6 @@
 """PARATEC: plane-wave DFT total-energy mini-app (materials science, §4)."""
 
-from .bandstructure import (
-    FCC_POINTS,
-    BandStructure,
-    band_structure,
-    bands_at_k,
-    kpoint_cartesian,
-)
-from .basis import PlaneWaveBasis
-from .cg import CGStats, cg_iterate, cg_step, random_bands, solve_dense
-from .density import band_density, hartree_potential, lda_xc, xc_energy
-from .fft3d import ParallelFFT3D, SphereLayout
-from .hamiltonian import (
-    Hamiltonian,
-    orthonormalize,
-    subspace_rotate,
-    teter_preconditioner,
-)
-from .lattice_cell import (
-    Cell,
-    SI_LATTICE_CONSTANT,
-    silicon_primitive,
-    silicon_supercell,
-)
-from .parallel import solve_bands_parallel
-from .profile import (
-    ParatecConfig,
-    build_profile,
-    paratec_porting,
-    table4_configs,
-)
-from .pseudopotential import form_factor, local_potential_coefficients
-from .scf import SCFResult, SCFSolver
+from ... import _compat
 
 __all__ = [
     "BandStructure", "FCC_POINTS", "band_structure", "bands_at_k",
@@ -45,3 +14,23 @@ __all__ = [
     "solve_bands_parallel", "solve_dense", "subspace_rotate",
     "table4_configs", "teter_preconditioner", "xc_energy",
 ]
+
+__getattr__, __dir__ = _compat.lazy_exports(__name__, {
+    "bandstructure": ("FCC_POINTS", "BandStructure", "band_structure",
+                      "bands_at_k", "kpoint_cartesian"),
+    "basis": ("PlaneWaveBasis",),
+    "cg": ("CGStats", "cg_iterate", "cg_step", "random_bands",
+           "solve_dense"),
+    "density": ("band_density", "hartree_potential", "lda_xc",
+                "xc_energy"),
+    "fft3d": ("ParallelFFT3D", "SphereLayout"),
+    "hamiltonian": ("Hamiltonian", "orthonormalize", "subspace_rotate",
+                    "teter_preconditioner"),
+    "lattice_cell": ("Cell", "SI_LATTICE_CONSTANT", "silicon_primitive",
+                     "silicon_supercell"),
+    "parallel": ("solve_bands_parallel",),
+    "profile": ("ParatecConfig", "build_profile", "paratec_porting",
+                "table4_configs"),
+    "pseudopotential": ("form_factor", "local_potential_coefficients"),
+    "scf": ("SCFResult", "SCFSolver"),
+})

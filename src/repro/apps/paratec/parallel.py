@@ -14,13 +14,11 @@ eigenvalues match the serial path to solver tolerance (tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...resilience.checkpoint import Checkpointer
-from ...resilience.health import HealthConfig, HealthMonitor
 from ...resilience.online import OnlineRunner
-from ...resilience.supervisor import RecoveryPolicy, ResilientJob
 from ...runtime import (
     Comm,
     FaultInjector,
@@ -33,6 +31,11 @@ from .cg import random_bands
 from .fft3d import ParallelFFT3D, SphereLayout
 from .lattice_cell import Cell
 from .pseudopotential import local_potential_coefficients
+
+if TYPE_CHECKING:
+    from ...resilience.checkpoint import Checkpointer
+    from ...resilience.health import HealthConfig
+    from ...resilience.supervisor import RecoveryPolicy
 
 
 class DistributedHamiltonian:
@@ -209,6 +212,7 @@ def solve_bands_parallel(cell: Cell, ecut: float, nbands: int, *,
     job = ParallelJob(nprocs, transport=transport, injector=injector,
                       sanitize=sanitize, spares=spares, backend=backend)
     if injector is not None or checkpoint is not None or policy is not None:
+        from ...resilience.supervisor import ResilientJob
         results = ResilientJob(job, max_restarts=max_restarts,
                                policy=policy,
                                checkpoint=checkpoint).run(rank_main)
@@ -260,8 +264,10 @@ def _paratec_rank_body(comm: Comm, basis, layout, v_real, start, *,
                        checkpoint, checkpoint_every, health, policy,
                        on_shrink):
     """One rank's full PARATEC program (shared by both backends)."""
-    monitor = HealthMonitor(comm, health) if health is not None \
-        else None
+    monitor = None
+    if health is not None:
+        from ...resilience.health import HealthMonitor
+        monitor = HealthMonitor(comm, health)
     tracer = comm.transport.tracer
 
     def build(lay: SphereLayout):

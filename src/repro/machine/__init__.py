@@ -5,37 +5,7 @@ Public surface: the platform instances (:data:`POWER3`, :data:`POWER4`,
 descriptors, and the processor / memory / network timing models.
 """
 
-from .counters import HardwareCounters
-from .memory import MemoryModel, MemoryTime
-from .network import (
-    CommTime,
-    Crossbar,
-    FatTree,
-    NetworkModel,
-    Omega,
-    Torus2D,
-    TopologyModel,
-    topology_model,
-)
-from .platforms import (
-    ALTIX,
-    ES,
-    PLATFORMS,
-    POWER3,
-    POWER4,
-    POWER5,
-    X1,
-    get_machine,
-)
-from .processor import ComputeTime, ProcessorModel, strip_mined_avl
-from .spec import (
-    AccessPattern,
-    CacheLevel,
-    MachineSpec,
-    ScalarUnit,
-    Topology,
-    VectorUnit,
-)
+from .. import _compat
 
 __all__ = [
     "ALTIX", "ES", "PLATFORMS", "POWER3", "POWER4", "POWER5", "X1",
@@ -45,3 +15,15 @@ __all__ = [
     "Topology", "TopologyModel", "Torus2D", "VectorUnit", "get_machine",
     "strip_mined_avl", "topology_model",
 ]
+
+__getattr__, __dir__ = _compat.lazy_exports(__name__, {
+    "counters": ("HardwareCounters",),
+    "memory": ("MemoryModel", "MemoryTime"),
+    "network": ("CommTime", "Crossbar", "FatTree", "NetworkModel", "Omega",
+                "Torus2D", "TopologyModel", "topology_model"),
+    "platforms": ("ALTIX", "ES", "PLATFORMS", "POWER3", "POWER4", "POWER5",
+                  "X1", "get_machine"),
+    "processor": ("ComputeTime", "ProcessorModel", "strip_mined_avl"),
+    "spec": ("AccessPattern", "CacheLevel", "MachineSpec", "ScalarUnit",
+             "Topology", "VectorUnit"),
+})

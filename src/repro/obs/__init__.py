@@ -7,8 +7,14 @@ counters/gauges/histograms aggregatable across ranks, and exporters to
 Chrome ``trace_event`` JSON (Perfetto), a flat JSONL event log, and a
 paper-style phase table.  Tracing is zero-cost when disabled: every
 transport carries :data:`NULL_TRACER` until a real tracer is attached.
+
+The tracer and its event records load with the package, because the
+runtime reports through them.  The exporters, the metrics registry and
+the offline profiler load on first use, so a process rank never pays
+for them.
 """
 
+from .. import _compat
 from .events import (
     CAT_CKPT,
     CAT_COMM,
@@ -19,25 +25,6 @@ from .events import (
     INSTANT,
     SPAN,
     TraceEvent,
-)
-from .export import (
-    chrome_trace,
-    events_jsonl,
-    phase_table,
-    write_chrome_trace,
-    write_events_jsonl,
-    write_metrics_json,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profile import (
-    Attribution,
-    CausalGraph,
-    CriticalPath,
-    ProfileError,
-    analyze,
-    build_report,
-    render_report,
-    validate_report,
 )
 from .tracer import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
 
@@ -50,3 +37,13 @@ __all__ = [
     "phase_table", "render_report", "validate_report",
     "write_chrome_trace", "write_events_jsonl", "write_metrics_json",
 ]
+
+__getattr__, __dir__ = _compat.lazy_exports(__name__, {
+    "export": ("chrome_trace", "events_jsonl", "phase_table",
+               "write_chrome_trace", "write_events_jsonl",
+               "write_metrics_json"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "profile": ("Attribution", "CausalGraph", "CriticalPath",
+                "ProfileError", "analyze", "build_report", "render_report",
+                "validate_report"),
+})

@@ -1,11 +1,6 @@
 """Performance modeling: work profiles, porting specs, prediction, reports."""
 
-from .metrics import parallel_efficiency, pct_of_peak, per_proc_speedup
-from .model import PerformanceModel, PerfResult, PhaseTime, predict_on
-from .porting import PhasePort, PortingSpec, default_porting
-from .report import PaperTable, render_speedup_table
-from .sensitivity import Finding, perturbed, sweep
-from .work import AppProfile, CommPhase, WorkPhase
+from .. import _compat
 
 __all__ = [
     "AppProfile", "CommPhase", "PaperTable", "PerfResult",
@@ -14,3 +9,12 @@ __all__ = [
     "per_proc_speedup", "perturbed", "predict_on",
     "render_speedup_table", "sweep", "Finding",
 ]
+
+__getattr__, __dir__ = _compat.lazy_exports(__name__, {
+    "metrics": ("parallel_efficiency", "pct_of_peak", "per_proc_speedup"),
+    "model": ("PerformanceModel", "PerfResult", "PhaseTime", "predict_on"),
+    "porting": ("PhasePort", "PortingSpec", "default_porting"),
+    "report": ("PaperTable", "render_speedup_table"),
+    "sensitivity": ("Finding", "perturbed", "sweep"),
+    "work": ("AppProfile", "CommPhase", "WorkPhase"),
+})

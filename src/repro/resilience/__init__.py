@@ -10,37 +10,13 @@ classifies failures and rolls back to the last verified checkpoint.
 The chaos harness that exercises all four applications under a fault
 plan lives in :mod:`repro.resilience.chaos` (imported lazily by the
 CLI; it pulls in every application package).
+
+Every name here loads its submodule on first use.  A process rank loads
+the online runner and the supervisor; it loads the checkpointer or the
+health monitors only when its program carries one.
 """
 
-from .checkpoint import (
-    Checkpointer,
-    CheckpointCorruptError,
-    CheckpointError,
-)
-from .failures import (
-    EXIT_CHECK,
-    EXIT_CONFIG,
-    EXIT_ERROR,
-    EXIT_OK,
-    EXIT_PARTIAL,
-    EXIT_RUN,
-    FatalStepError,
-    PersistentStepError,
-    StepError,
-    StepTimeoutError,
-    TransientStepError,
-    classify_exit,
-    classify_failure,
-)
-from .health import (
-    CheckRecord,
-    HealthConfig,
-    HealthLog,
-    HealthMonitor,
-    SDCDetectedError,
-)
-from .online import OnlineRunner
-from .supervisor import RecoveryEvent, RecoveryPolicy, ResilientJob
+from .. import _compat
 
 __all__ = [
     "CheckRecord", "Checkpointer", "CheckpointCorruptError",
@@ -51,3 +27,16 @@ __all__ = [
     "ResilientJob", "SDCDetectedError", "StepError", "StepTimeoutError",
     "TransientStepError", "classify_exit", "classify_failure",
 ]
+
+__getattr__, __dir__ = _compat.lazy_exports(__name__, {
+    "checkpoint": ("Checkpointer", "CheckpointCorruptError",
+                   "CheckpointError"),
+    "failures": ("EXIT_CHECK", "EXIT_CONFIG", "EXIT_ERROR", "EXIT_OK",
+                 "EXIT_PARTIAL", "EXIT_RUN", "FatalStepError",
+                 "PersistentStepError", "SDCDetectedError", "StepError",
+                 "StepTimeoutError", "TransientStepError", "classify_exit",
+                 "classify_failure"),
+    "health": ("CheckRecord", "HealthConfig", "HealthLog", "HealthMonitor"),
+    "online": ("OnlineRunner",),
+    "supervisor": ("RecoveryEvent", "RecoveryPolicy", "ResilientJob"),
+})

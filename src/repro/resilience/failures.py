@@ -111,3 +111,35 @@ def classify_failure(exc: BaseException) -> str:
     if isinstance(exc, (ValueError, TypeError, KeyError)):
         return FATAL
     return TRANSIENT
+
+
+# Raised by the monitors in repro.resilience.health (and importable from
+# there); defined here so the supervisor, which every rank loads, can
+# classify it without loading the monitors.
+class SDCDetectedError(RuntimeError):
+    """An invariant monitor flagged silent data corruption.
+
+    The supervisor's rollback trigger, as :class:`~repro.runtime.faults.
+    RankCrashError` is its restart trigger.  Carries the full diagnosis:
+    which monitor tripped, on which rank, at which step, and how far the
+    value drifted from its reference.
+    """
+
+    def __init__(self, rank: int, step: int, monitor: str, value: float,
+                 reference: float, drift: float, threshold: float):
+        super().__init__(
+            f"invariant {monitor!r} violated on rank {rank} at step "
+            f"{step}: value {value:.6g}, reference {reference:.6g}, "
+            f"drift {drift:.3g} > threshold {threshold:.3g}")
+        self.rank = rank
+        self.step = step
+        self.monitor = monitor
+        self.value = value
+        self.reference = reference
+        self.drift = drift
+        self.threshold = threshold
+
+    def __reduce__(self):
+        return (type(self),
+                (self.rank, self.step, self.monitor, self.value,
+                 self.reference, self.drift, self.threshold))

@@ -40,7 +40,7 @@ from typing import Any, Callable, Sequence
 from ..obs.events import CAT_HEALTH
 from ..runtime.comm import ParallelJob
 from ..runtime.faults import RankCrashError, RankKilledError
-from .health import SDCDetectedError
+from .failures import SDCDetectedError
 
 #: failure classes the policy can retry
 KIND_CRASH = "crash"

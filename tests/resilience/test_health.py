@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.apps import APPS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.resilience.health import (
-    APPS,
     HealthConfig,
     HealthLog,
     HealthMonitor,

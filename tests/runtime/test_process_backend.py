@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.apps import APPS
 from repro.machine.platforms import ES
 from repro.resilience.checkpoint import Checkpointer
 from repro.runtime import BackendError, ParallelJob, Transport
@@ -29,10 +30,25 @@ from repro.runtime.virtual_time import VirtualClocks
 
 _ROOT = Path(__file__).resolve().parents[2]
 
-#: what a rank of an LBMHD job must not import: it pays for every module
-#: it loads before its program can start
-_HEAVY_MODULES = ("networkx", "scipy", "repro.apps.gtc",
-                  "repro.apps.paratec", "repro.amr", "repro.experiments")
+#: what no rank runs, only the parent or an offline tool: a rank pays for
+#: every module it loads before its program can start
+_OFFLINE_MODULES = (
+    "repro.obs.profile", "repro.obs.replay", "repro.obs.export",
+    "repro.obs.metrics", "repro.machine", "repro.perf", "repro.work",
+    "repro.analysis", "repro.campaign", "repro.experiments", "repro.amr",
+    "repro.resilience.checkpoint", "repro.resilience.health", "networkx")
+
+
+def _offline_for(app: str) -> tuple[str, ...]:
+    """What a rank of ``app`` must not load: the offline modules, the
+    other apps, its own model profile and instrumentation, and scipy
+    (GTC's Poisson solve calls ``scipy.linalg.solve_banded`` every
+    step)."""
+    return (_OFFLINE_MODULES
+            + tuple(f"repro.apps.{a}" for a in APPS if a != app)
+            + (f"repro.apps.{app}.profile",
+               f"repro.apps.{app}.instrumentation")
+            + (() if app == "gtc" else ("scipy",)))
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
@@ -101,15 +117,27 @@ def _blas_env(comm):
 
 
 class TestStartup:
-    def test_rank_imports_stay_lean(self):
+    @pytest.mark.parametrize("app", APPS)
+    def test_rank_imports_stay_lean(self, app):
         code = ("import sys\n"
                 "import repro.runtime.process_backend\n"
-                "import repro.apps.lbmhd.parallel\n"
-                f"print(*[m for m in {_HEAVY_MODULES!r} "
+                f"import repro.apps.{app}.parallel\n"
+                f"print(*[m for m in {_offline_for(app)!r} "
                 f"if m in sys.modules])\n")
         run = _fresh_python(code)
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == []
+
+    def test_spawned_rank_loads_no_offline_module(self):
+        from tests.runtime._rank_modules import repro_modules
+
+        offline = _OFFLINE_MODULES + tuple(f"repro.apps.{a}" for a in APPS)
+        out = ParallelJob(2, backend="process").run(repro_modules)
+        assert len(out) == 2
+        for mods in out:
+            assert "repro.runtime.process_backend" in mods
+            assert [m for m in mods if any(
+                m == o or m.startswith(o + ".") for o in offline)] == []
 
     def test_spawn_pickles_never_carry_the_program(self, monkeypatch):
         # A Process pickle above the 64 KiB pipe buffer makes start()
