@@ -102,16 +102,20 @@ def check_trace_races(source: Any,
     """
     rep = _replayed(source)
     label = _trace_label(source, label)
-    # Epoch events per buffer, replay-reachable ones only (events after
-    # a blocked op never executed; the deadlock checker owns those).
+    # Epoch events per reclaimed buffer, replay-reachable ones only
+    # (events after a blocked op never executed; the deadlock checker
+    # owns those).  A buffer nobody reclaims opens no write epoch, so it
+    # cannot race and is not grouped.
+    epochs = [op for r in sorted(rep.by_rank) for op in rep.by_rank[r]
+              if op.kind == EPOCH and op.vc is not None]
+    reclaimed = {str(op.args.get("buf", "?")) for op in epochs
+                 if op.args.get("op") == "reclaim"}
     by_buf: dict[str, dict[str, list[Op]]] = {}
-    for r in sorted(rep.by_rank):
-        for op in rep.by_rank[r]:
-            if op.kind == EPOCH and op.vc is not None:
-                buf = str(op.args.get("buf", "?"))
-                kind = str(op.args.get("op", "?"))
-                by_buf.setdefault(buf, {}).setdefault(kind,
-                                                      []).append(op)
+    for op in epochs:
+        buf = str(op.args.get("buf", "?"))
+        if buf in reclaimed:
+            kind = str(op.args.get("op", "?"))
+            by_buf.setdefault(buf, {}).setdefault(kind, []).append(op)
     findings: dict[tuple, Finding] = {}
 
     def add(message: str) -> None:

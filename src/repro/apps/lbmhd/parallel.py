@@ -27,7 +27,6 @@ from ...resilience.online import OnlineRunner
 from ...runtime import (
     BackendError,
     BlockND,
-    CoArray,
     Comm,
     FaultInjector,
     HaloGuard,
@@ -228,6 +227,7 @@ class _CafImages:
     """Co-array images of the extended f and g arrays."""
 
     def __init__(self, state: _RankState):
+        from ...runtime.caf import CoArray
         self.ca_f = CoArray(state.comm, state.f.shape, name="f")
         self.ca_g = CoArray(state.comm, state.g.shape, name="g")
         self.ca_f.local[...] = state.f

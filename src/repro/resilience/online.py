@@ -31,12 +31,14 @@ two recovery layers stack.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Collection
+from typing import TYPE_CHECKING, Any, Callable, Collection
 
 from ..runtime.comm import Comm, OnlineRecoveryError
 from ..runtime.transport import CommRevokedError, RankFailedError, \
     RepairRecord
-from .supervisor import KIND_KILL, RecoveryEvent, RecoveryPolicy
+
+if TYPE_CHECKING:
+    from .supervisor import RecoveryPolicy
 
 
 class OnlineRunner:
@@ -203,6 +205,7 @@ class OnlineRunner:
         if self.policy is None \
                 or comm._global(comm.rank) != record.survivors[0]:
             return
+        from .supervisor import KIND_KILL, RecoveryEvent
         self.policy.events.append(RecoveryEvent(
             kind=KIND_KILL, classification="transient",
             action=f"online-{mode}", exception=type(exc).__name__,

@@ -1,7 +1,11 @@
-"""Simulated SPMD runtime: communicator, co-arrays, decompositions."""
+"""Simulated SPMD runtime: communicator, co-arrays, decompositions.
 
+``CoArray`` (thread-backend CAF path only) and ``VirtualClocks`` load on
+first use, so a process rank never imports them.
+"""
+
+from .. import _compat
 from .buffers import BufferPool, BufferStats, borrow, writable
-from .caf import CoArray
 from .comm import Comm, OnlineRecoveryError, ParallelJob, ReplayInfo
 from .decomposition import (
     Block1D,
@@ -43,7 +47,6 @@ from .transport import (
     Transport,
     TransportPoisonedError,
 )
-from .virtual_time import VirtualClocks
 
 __all__ = [
     "BackendError", "Block1D", "BlockND", "BorrowWriteError", "BufferPool",
@@ -59,3 +62,8 @@ __all__ = [
     "balance_columns", "borrow", "factor_grid", "split_extent",
     "writable",
 ]
+
+__getattr__, __dir__ = _compat.lazy_exports(__name__, {
+    "caf": ("CoArray",),
+    "virtual_time": ("VirtualClocks",),
+})

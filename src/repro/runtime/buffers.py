@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -203,6 +203,9 @@ class BufferPool:
         self._free_ids: dict[int, str] = {}
         #: re-issue count per live pooled-buffer id
         self._gen: dict[int, int] = {}
+        #: called with each recycled buffer ``take`` re-issues (the
+        #: owning transport ends the buffer's traced epoch label)
+        self._on_reissue: Callable[[np.ndarray], None] | None = None
         self.hits = 0
         self.misses = 0
         self.returns = 0
@@ -232,6 +235,8 @@ class BufferPool:
                 arr = None
         if arr is None:
             return np.empty(shape, dtype=dtype)
+        if self._on_reissue is not None:
+            self._on_reissue(arr)
         if self.sanitize and not is_poisoned(arr):
             raise PoolUseAfterReleaseError(
                 f"pool buffer {arr.shape}/{arr.dtype} was written after "

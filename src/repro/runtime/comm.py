@@ -315,8 +315,11 @@ class Comm:
         with self._span(label, "region"):
             yield
 
-    def _outgoing(self, obj: Any) -> Any:
-        """Wire payload for ``obj``: borrowed (zero-copy) or deep-copied."""
+    def _outgoing(self, obj: Any, site: str | None = None) -> Any:
+        """Wire payload for ``obj``: borrowed (zero-copy) or deep-copied.
+
+        ``site`` is the caller's stamp when it already holds one.
+        """
         tp = self.transport
         if not tp.zero_copy:
             return _copy(obj)
@@ -324,7 +327,8 @@ class Comm:
             return borrow(obj, tp.buffers)
         # Sanitize mode: stamp the borrow with the app-level call site so
         # a later violation (any rank, any phase) names this send.
-        site = caller_site()
+        if site is None:
+            site = caller_site()
         payload = borrow(obj, tp.buffers, sanitize=True, site=site)
         record_borrow_sites(payload, site, tp.borrow_log)
         return payload
@@ -334,13 +338,13 @@ class Comm:
         if self._replay_active:
             return            # already on the wire in the original run
         nbytes = _payload_bytes(obj)
-        payload = self._outgoing(obj)
-        src, dst = self._global(self.rank), self._global(dest)
         tr = self.transport.tracer
+        site = caller_site() if tr.enabled else None
+        payload = self._outgoing(obj, site)
+        src, dst = self._global(self.rank), self._global(dest)
         if not tr.enabled:          # hot path: no span, no args dict
             self.transport.post(src, dst, tag, payload, nbytes)
             return
-        site = caller_site()
         self.transport.note_buffers(payload, self._track, "publish", site)
         with tr.span(self._track, "send", CAT_COMM,
                      {"dst": dst, "tag": tag, "nbytes": nbytes,
@@ -760,13 +764,13 @@ class _SubComm(Comm):
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         nbytes = _payload_bytes(obj)
-        payload = self._outgoing(obj)
         tr = self.transport.tracer
+        site = caller_site() if tr.enabled else None
+        payload = self._outgoing(obj, site)
         if not tr.enabled:
             self.transport.post(self._global(self.rank),
                                 self._global(dest), tag, payload, nbytes)
             return
-        site = caller_site()
         self.transport.note_buffers(payload, self._track, "publish", site)
         with tr.span(self._track, "send", CAT_COMM,
                      {"dst": self._global(dest), "tag": tag,

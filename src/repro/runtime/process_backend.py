@@ -155,7 +155,8 @@ def _ship(obj: Any, tp: "ProcTransport") -> Any:
     if isinstance(obj, np.ndarray):
         if obj.nbytes >= tp.shm_min:
             arr = np.ascontiguousarray(obj)
-            name = f"{tp.shm_prefix}r{tp.rank}s{tp._ship_seq}"
+            label = f"r{tp.rank}s{tp._ship_seq}"
+            name = tp.shm_prefix + label
             tp._ship_seq += 1
             seg = SharedMemory(name=name, create=True, size=arr.nbytes)
             _untrack(name)
@@ -164,11 +165,12 @@ def _ship(obj: Any, tp: "ProcTransport") -> Any:
             del view
             seg.close()
             if tp.tracer.enabled:
-                # The segment name is the cross-process buffer identity;
-                # every segment is written once before its name escapes,
-                # so its only write epoch is generation 0.
+                # The segment name without the job's random prefix is
+                # the cross-process buffer identity, the same in every
+                # run; every segment is written once before its name
+                # escapes, so its only write epoch is generation 0.
                 tp.tracer.instant(tp.rank, "buf-epoch", CAT_BUFFER,
-                                  {"op": "publish", "buf": f"shm:{name}",
+                                  {"op": "publish", "buf": f"shm:{label}",
                                    "gen": 0, "site": caller_site()})
             return ("shm", name, arr.shape, arr.dtype.str)
         small = np.ascontiguousarray(obj)
@@ -202,7 +204,8 @@ def _unship(wire: Any, tp: "ProcTransport") -> Any:
             # giving a borrowed buffer back.
             weakref.finalize(raw, _release_segment, seg)
             if tp.tracer.enabled:
-                tp._shm_reg[id(raw)] = (name, weakref.ref(raw))
+                tp._shm_reg[id(raw)] = (name.removeprefix(tp.shm_prefix),
+                                        weakref.ref(raw))
             return raw
         out = np.empty_like(raw)
         np.copyto(out, raw)
@@ -333,7 +336,7 @@ class ProcTransport(Transport):
         self._notices: list = []
         self._notice_cond = threading.Condition()
         self._pump_thread: threading.Thread | None = None
-        #: id(mapped view) -> (segment name, weakref); filled by
+        #: id(mapped view) -> (segment label, weakref); filled by
         #: ``_unship`` under tracing so receiver-side reads of a
         #: zero-copy segment can be stamped with its wire identity
         self._shm_reg: dict[int, tuple[str, weakref.ref]] = {}

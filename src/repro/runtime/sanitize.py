@@ -36,7 +36,7 @@ overwrite before use.
 from __future__ import annotations
 
 import os
-import traceback
+import sys
 from typing import Any, Iterable
 
 import numpy as np
@@ -84,13 +84,17 @@ def caller_site(skip_fragments: tuple[str, ...] = ("/repro/runtime/",)
 
     Used to stamp borrow/release sites so a violation raised later (on
     another rank, in another phase) still names the line that created
-    the obligation.
+    the obligation.  A walk along the live frames' ``f_back`` links: it
+    reads no source line, so it stats no file, and it stops at the first
+    frame outside the runtime, however deep the stack below it.
     """
-    for frame in reversed(traceback.extract_stack()):
-        fname = frame.filename.replace("\\", "/")
-        if any(frag in fname for frag in skip_fragments):
-            continue
-        return f"{fname}:{frame.lineno} in {frame.name}"
+    frame = sys._getframe()
+    while frame is not None:
+        code = frame.f_code
+        fname = code.co_filename.replace("\\", "/")
+        if not any(frag in fname for frag in skip_fragments):
+            return f"{fname}:{frame.f_lineno} in {code.co_name}"
+        frame = frame.f_back
     return "<unknown site>"
 
 

@@ -41,6 +41,7 @@ restart needs before re-running ranks from a checkpoint.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 import threading
@@ -436,6 +437,20 @@ class _ChannelShard:
         self.recv_seq: dict[tuple[int, int, int], int] = defaultdict(int)
 
 
+def _forget_label(registry: dict, lock: threading.Lock,
+                  arr: np.ndarray) -> None:
+    """End a re-issued pool buffer's epoch label.
+
+    The pool hands a recycled buffer to whichever rank asks first, so
+    its next publish mints a label of the publisher's own; a label kept
+    across the pool would depend on how the rank threads raced.  An
+    untraced run labels nothing and takes no lock here.
+    """
+    if registry:
+        with lock:
+            registry.pop(id(arr), None)
+
+
 class Transport:
     """Shared mailbox fabric + event recorder for one parallel job."""
 
@@ -510,8 +525,12 @@ class Transport:
         # against pointer reuse after a buffer is garbage-collected.
         self._buf_lock = threading.Lock()
         self._buf_reg: dict[int, tuple[str, weakref.ref]] = {}
-        self._buf_count = 0
+        self._buf_count: dict[int, int] = defaultdict(int)
         self._buf_gen: dict[str, int] = {}
+        # The hook holds no reference to the transport: a reference cycle
+        # would keep a process job's transport alive until the collector.
+        self.pool._on_reissue = functools.partial(
+            _forget_label, self._buf_reg, self._buf_lock)
 
     def enable_sanitize(self) -> None:
         """Turn on the ownership sanitizer for subsequent traffic.
@@ -820,24 +839,27 @@ class Transport:
             return item.payload
 
     # -- buffer-epoch events (race analyzer) ----------------------------------
-    def _buffer_label(self, arr: np.ndarray, *,
-                      create: bool) -> str | None:
-        """Stable per-buffer label ("b0", "b1", ...) for epoch events.
+    def _buffer_label(self, arr: np.ndarray,
+                      publisher: int | None = None) -> str | None:
+        """Stable per-buffer label ("r0b0", "r0b1", ...) for epoch events.
 
-        Identity is ``id(arr)`` validated by a weakref — a recycled id
-        (new array at a freed address) never inherits the old label.
-        A frozen view produced by the sanitizer's ``FrozenBorrow`` is
-        aliased to its base, so the owner can later reclaim with the
-        original array object it actually holds.
+        An unlabelled buffer gets a new label only when a ``publisher``
+        rank is given, from that rank's own counter: a program labels
+        its buffers the same way in every run, however its rank threads
+        interleave.  Identity is ``id(arr)`` validated by a weakref — a
+        recycled id (new array at a freed address) never inherits the
+        old label.  A frozen view produced by the sanitizer's
+        ``FrozenBorrow`` is aliased to its base, so the owner can later
+        reclaim with the original array object it actually holds.
         """
         with self._buf_lock:
             ent = self._buf_reg.get(id(arr))
             if ent is not None and ent[1]() is arr:
                 return ent[0]
-            if not create:
+            if publisher is None:
                 return None
-            label = f"b{self._buf_count}"
-            self._buf_count += 1
+            label = f"r{publisher}b{self._buf_count[publisher]}"
+            self._buf_count[publisher] += 1
             self._buf_reg[id(arr)] = (label, weakref.ref(arr))
             self._buf_gen.setdefault(label, 0)
             base = arr.base
@@ -863,9 +885,9 @@ class Transport:
             if op == "publish":
                 if arr.flags.writeable:
                     continue       # value copy, not a shared borrow
-                label = self._buffer_label(arr, create=True)
+                label = self._buffer_label(arr, rank)
             else:
-                label = self._buffer_label(arr, create=False)
+                label = self._buffer_label(arr)
                 if label is None:
                     continue
             with self._buf_lock:

@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import time
 
 import numpy as np
 import pytest
@@ -222,6 +223,35 @@ class TestSeededScenarios:
         traced = ParallelJob(2, tracer=Tracer(2)).run(app)
         for a, b in zip(untraced, traced):
             assert np.array_equal(a, b)
+
+
+def _racy_exchange(comm, late_rank):
+    """Three borrowed sends each way, then one reclaim with no ack."""
+    if comm.rank == late_rank:
+        time.sleep(0.01)            # the other rank publishes first
+    peer = 1 - comm.rank
+    bufs = [np.full(1024, float(3 * comm.rank + i)) for i in range(3)]
+    for tag, buf in enumerate(bufs):
+        comm.send(buf, peer, tag=tag)
+    total = sum(float(comm.recv(peer, tag=tag).sum()) for tag in range(3))
+    if comm.rank == 0:
+        comm.reclaim(bufs[1])[:] = -1.0     # no ack first: the bug
+    return total
+
+
+class TestDeterministicFindings:
+    def test_race_fingerprints_repeat_across_runs(self):
+        # Buffer labels come from each publishing rank's own counter, so
+        # a finding names the same buffer whichever rank runs first.
+        prints = set()
+        for run in range(10):
+            tracer = Tracer(2)
+            ParallelJob(2, tracer=tracer).run(_racy_exchange, run % 2)
+            findings = check_trace_races(tracer)
+            assert len(findings) == 1
+            assert "race on buffer r0b1:" in findings[0].message
+            prints.add(findings[0].fingerprint)
+        assert len(prints) == 1
 
 
 class TestCleanSweep:

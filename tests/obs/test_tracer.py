@@ -1,5 +1,6 @@
 """Tracer semantics: deterministic ordering, zero-cost disabled path."""
 
+import sys
 import threading
 
 import numpy as np
@@ -22,32 +23,47 @@ class TestOrdering:
         assert [e.seq for e in tr.events(0)] == [0, 1]
 
     def _traced_program(self, jitter):
-        """One comm-heavy threaded run; returns the per-rank event names."""
+        """One comm-heavy threaded run; returns the per-rank events."""
         transport = Transport(4)
         tracer = Tracer(4)
         transport.tracer = tracer
 
         def prog(comm):
             import time
+            pool = comm.transport.pool
             for step in range(3):
                 if jitter:
                     time.sleep(0.0005 * ((comm.rank * 7 + step) % 3))
                 tracer.instant(comm.rank, "step", "phase", {"step": step})
                 right = (comm.rank + 1) % comm.size
                 left = (comm.rank - 1) % comm.size
-                comm.sendrecv(np.full(4, comm.rank), dest=right,
-                              source=left)
+                # Ring payloads come from the shared pool and go back to
+                # it, so which buffer a rank reuses depends on timing.
+                out = pool.take((4,))
+                out[:] = comm.rank
+                pool.give(comm.sendrecv(out, dest=right, source=left))
                 comm.allreduce(float(comm.rank))
 
         ParallelJob(4, transport=transport).run(prog)
-        return {r: [(e.seq, e.name, e.cat) for e in tracer.events(r)]
+        return {r: [(e.seq, e.name, e.cat, e.args) for e in tracer.events(r)]
                 for r in range(4)}
 
     def test_deterministic_under_thread_scheduling(self):
         # The same program traced twice — once with artificial per-rank
-        # scheduling jitter — must produce identical (seq, name) streams:
-        # ordering keys come from per-rank counters, not wall time.
-        assert self._traced_program(False) == self._traced_program(True)
+        # scheduling jitter and a short switch interval — must produce
+        # identical event streams, args included: ordering keys and
+        # buffer labels come from per-rank counters, not from wall time
+        # or the order ranks run in.
+        plain = self._traced_program(False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jittered = self._traced_program(True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert any(args.get("buf") for events in plain.values()
+                   for *_, args in events)
+        assert plain == jittered
 
     def test_span_timestamps_monotonic_per_rank(self):
         tr = Tracer(1)

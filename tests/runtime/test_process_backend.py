@@ -21,6 +21,7 @@ import pytest
 
 from repro.apps import APPS
 from repro.machine.platforms import ES
+from repro.obs.tracer import Tracer
 from repro.resilience.checkpoint import Checkpointer
 from repro.runtime import BackendError, ParallelJob, Transport
 from repro.runtime.faults import FaultInjector, FaultPlan
@@ -36,7 +37,9 @@ _OFFLINE_MODULES = (
     "repro.obs.profile", "repro.obs.replay", "repro.obs.export",
     "repro.obs.metrics", "repro.machine", "repro.perf", "repro.work",
     "repro.analysis", "repro.campaign", "repro.experiments", "repro.amr",
-    "repro.resilience.checkpoint", "repro.resilience.health", "networkx")
+    "repro.resilience.checkpoint", "repro.resilience.health",
+    "repro.resilience.supervisor", "repro.runtime.caf",
+    "repro.runtime.virtual_time", "networkx")
 
 
 def _offline_for(app: str) -> tuple[str, ...]:
@@ -106,6 +109,21 @@ class TestProcessRanks:
         # zero-copy transport must not change what the app "sent"
         assert tp_p.message_count() == tp_t.message_count()
         assert tp_p.total_bytes() == tp_t.total_bytes()
+
+    def test_shared_memory_labels_repeat_across_jobs(self):
+        # A segment's epoch label is its name without the job's random
+        # prefix, so two runs of one program label its buffers alike.
+        def labels():
+            tracer = Tracer(2)
+            ParallelJob(2, tracer=tracer,
+                        backend="process").run(_big_exchange)
+            return [(e.rank, e.seq, e.args["op"], e.args["buf"])
+                    for e in tracer.events() if e.name == "buf-epoch"]
+
+        first = labels()
+        assert {buf for *_, buf in first} == {"shm:r0s0", "shm:r1s0"}
+        assert {op for _, _, op, _ in first} == {"publish", "read"}
+        assert labels() == first
 
 
 def _array_sum(comm, arr):

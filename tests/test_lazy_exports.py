@@ -15,7 +15,7 @@ from tests.runtime.test_process_backend import _fresh_python
 
 LAZY_PACKAGES = ("repro.obs", "repro.apps.lbmhd", "repro.apps.cactus",
                  "repro.apps.gtc", "repro.apps.paratec", "repro.resilience",
-                 "repro.machine", "repro.perf")
+                 "repro.machine", "repro.perf", "repro.runtime")
 
 
 def _submodules(package) -> list:
@@ -68,6 +68,10 @@ class TestSurface:
 def test_names_and_submodules_load_on_first_use():
     code = """if True:
         import sys
+        import repro.runtime as runtime
+        assert "repro.runtime.caf" not in sys.modules
+        assert "repro.runtime.virtual_time" not in sys.modules
+        assert runtime.CoArray is sys.modules["repro.runtime.caf"].CoArray
         import repro.apps.lbmhd as lbmhd
         import repro.obs as obs
         assert "repro.apps.lbmhd.profile" not in sys.modules
