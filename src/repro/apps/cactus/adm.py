@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Curvature, curvature
+from .geometry import Workspace, curvature
 from .stencils import grad, hessian, interior
-from .tensors import trace
+from .tensors import ROWS, SLOT
 
 GAUGES = ("geodesic", "harmonic", "1+log")
 
@@ -41,31 +41,38 @@ def lapse_rhs(gauge: str, alpha: np.ndarray, trK: np.ndarray
 def adm_rhs(gamma_ext: np.ndarray, K_ext: np.ndarray,
             alpha_ext: np.ndarray,
             spacing: tuple[float, float, float], gauge: str = "harmonic",
-            geo: Curvature | None = None, order: int = 2
+            order: int = 2, work: Workspace | None = None
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interior time derivatives (dt gamma, dt K, dt alpha).
 
-    Inputs are ghost-extended full-tensor fields (ghost width
-    :func:`~repro.apps.cactus.stencils.ghost_for` of the chosen
-    finite-difference ``order``); outputs cover the interior only.
+    Inputs are ghost-extended packed (6, ...) tensor fields and the
+    lapse (ghost width :func:`~repro.apps.cactus.stencils.ghost_for` of
+    the chosen finite-difference ``order``); outputs are new arrays,
+    packed the same way, on the interior only.  ``work`` holds the
+    temporaries (see :class:`~repro.apps.cactus.geometry.Workspace`).
     """
-    geo = geo if geo is not None else curvature(gamma_ext, spacing,
-                                                order)
+    w = work if work is not None else Workspace(gamma_ext.shape[1:], order)
+    geo = curvature(gamma_ext, spacing, order, w)
     s = geo.shrink
-    ginv = geo.at_interior(geo.gamma_inv)
     G = geo.at_interior(geo.christoffel)
     K = interior(K_ext, 2 * s)
     alpha = interior(alpha_ext, 2 * s)
 
     # Covariant Hessian of the lapse: D_i D_j a = d_i d_j a - G^k_ij d_k a
-    dalpha = grad(alpha_ext, spacing, geo.order)  # ghost-s region
-    hess = interior(hessian(alpha_ext, spacing, geo.order), s)
-    dda = hess - np.einsum("kij...,k...->ij...", G,
-                           interior(dalpha, s))
+    dalpha = grad(alpha_ext, spacing, order, out=w["dalpha"])
+    hess = interior(hessian(alpha_ext, spacing, order, out=w["hess"]), s)
+    dda = np.einsum("kp...,k...->p...", G, interior(dalpha, s),
+                    out=w["dda"])
+    np.subtract(hess, dda, out=dda)
 
-    trK = trace(K, ginv)
-    Kmix = np.einsum("kl...,lj...->kj...", ginv, K)     # K^k_j
-    KK = np.einsum("ik...,kj...->ij...", K, Kmix)       # K_ik K^k_j
+    # K^k_j = g^kl K_lj (full: a mixed tensor is not symmetric)
+    Kfull = np.take(K, SLOT, axis=0, out=w["Kfull"], mode="clip")
+    Kmix = np.einsum("kl...,lj...->kj...",
+                     geo.at_interior(w["ginv_full"]), Kfull, out=w["Kmix"])
+    trK = Kmix[0, 0] + Kmix[1, 1] + Kmix[2, 2]
+    KK = w["KK"]                                        # K_ik K^k_j
+    for i, row in ROWS:
+        np.einsum("k...,kj...->j...", Kfull[i], Kmix[:, i:], out=KK[row])
 
     dt_gamma = -2.0 * alpha * K
     dt_K = -dda + alpha * (geo.ricci + trK * K - 2.0 * KK)

@@ -21,15 +21,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def sommerfeld_rhs_face(field: np.ndarray, f0: float, axis: int,
-                        side: int, spacing: float,
+def sommerfeld_rhs_face(field: np.ndarray, f0: float | np.ndarray,
+                        axis: int, side: int, spacing: float,
                         r: np.ndarray, speed: float = 1.0) -> np.ndarray:
     """dt(f) on one boundary face from the radiation condition.
 
     ``field`` is the interior (unextended) array whose last three axes
     are the grid; ``axis`` in (0,1,2) and ``side`` in (-1, +1) select the
     face; ``r`` is the radius field on that face (same shape as the
-    face).  Returns the face time derivative (vectorized over the face).
+    face's grid axes); ``f0`` is a float or an array that broadcasts
+    against the face (one asymptotic value per leading component).
+    Returns the face time derivative (vectorized over the face).
     """
     if side not in (-1, 1):
         raise ValueError("side must be -1 or +1")
@@ -67,7 +69,8 @@ def radius_on_face(shape: tuple[int, int, int],
     return np.squeeze(r, axis=axis)
 
 
-def apply_sommerfeld(field: np.ndarray, rhs: np.ndarray, f0: float,
+def apply_sommerfeld(field: np.ndarray, rhs: np.ndarray,
+                     f0: float | np.ndarray,
                      shape: tuple[int, int, int],
                      spacing: tuple[float, float, float],
                      speed: float = 1.0) -> None:

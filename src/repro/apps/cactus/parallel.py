@@ -5,6 +5,12 @@ of the global grid; each right-hand-side evaluation updates the ghost
 zones by exchanging data on the faces of its topological neighbours.
 Sequential-axis exchange (x, then y spanning filled x-ghosts, then z
 spanning both) fills edge and corner ghosts without diagonal messages.
+One message per face carries the 13 evolved fields: packed gamma_ij and
+K_ij (6 components each) and the lapse.
+
+:func:`run_parallel` takes and returns full (3, 3, ...) tensors; it
+packs them once on entry and unpacks once on exit, so program segments,
+results, checkpoints, snapshots and SDC targets all hold packed state.
 
 The parallel evolution is bitwise identical to the serial solver
 (pointwise arithmetic and ghost values match exactly), which the
@@ -29,6 +35,7 @@ from ...runtime import (
 )
 from .solver import CactusSolver
 from .stencils import extend
+from .tensors import SLOT, to_packed
 
 if TYPE_CHECKING:
     from ...resilience.checkpoint import Checkpointer
@@ -41,12 +48,12 @@ class _RankCactus(CactusSolver):
 
     def __init__(self, comm: Comm, decomp: BlockND, gamma, K, alpha,
                  **kwargs):
+        """``gamma``/``K`` are the global packed (6, ...) fields."""
         kwargs["boundary"] = "periodic"
         bounds = decomp.bounds(comm.rank)
         loc = tuple(slice(a, b) for a, b in bounds)
-        super().__init__(gamma[(slice(None), slice(None)) + loc],
-                         K[(slice(None), slice(None)) + loc],
-                         alpha[loc], **kwargs)
+        self._setup(gamma[(slice(None),) + loc], K[(slice(None),) + loc],
+                    alpha[loc], **kwargs)
         self.comm = comm
         self.bounds = bounds
         grid = decomp.grid
@@ -151,11 +158,11 @@ def run_parallel(gamma: np.ndarray, K: np.ndarray, alpha: np.ndarray, *,
     decomp = BlockND(grid, shape)
 
     rank_main = _CactusRankMain(
-        gamma, K, alpha, spacing=spacing, dt=dt, gauge=gauge,
-        integrator=integrator, order=order, nsteps=nsteps, decomp=decomp,
-        nprocs=nprocs, injector=injector, checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every, health=health, policy=policy,
-        on_shrink=on_shrink)
+        to_packed(gamma), to_packed(K), alpha, spacing=spacing, dt=dt,
+        gauge=gauge, integrator=integrator, order=order, nsteps=nsteps,
+        decomp=decomp, nprocs=nprocs, injector=injector,
+        checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+        health=health, policy=policy, on_shrink=on_shrink)
     job = ParallelJob(nprocs, transport=transport, injector=injector,
                       sanitize=sanitize, spares=spares, backend=backend)
     if injector is not None or checkpoint is not None or policy is not None:
@@ -165,16 +172,19 @@ def run_parallel(gamma: np.ndarray, K: np.ndarray, alpha: np.ndarray, *,
                                checkpoint=checkpoint).run(rank_main)
     else:
         results = job.run(rank_main)
-    gamma_out = np.empty_like(gamma)
-    K_out = np.empty_like(K)
+    gamma_out = np.empty((3, 3, *shape))
+    K_out = np.empty((3, 3, *shape))
     alpha_out = np.empty_like(alpha)
     for res in results:
         if res is None:       # rank lost to a kill, shrunk around
             continue
         bounds, g_l, K_l, a_l = res
         loc = tuple(slice(a, b) for a, b in bounds)
-        gamma_out[(slice(None), slice(None)) + loc] = g_l
-        K_out[(slice(None), slice(None)) + loc] = K_l
+        # Unpack each shard straight into the full outputs.
+        for i in range(3):
+            for j in range(3):
+                gamma_out[(i, j) + loc] = g_l[SLOT[i, j]]
+                K_out[(i, j) + loc] = K_l[SLOT[i, j]]
         alpha_out[loc] = a_l
     return gamma_out, K_out, alpha_out
 
@@ -218,8 +228,11 @@ def _cactus_rank_body(comm: Comm, gamma, K, alpha, *, spacing, dt, gauge,
                       integrator, order, nsteps, decomp, nprocs, injector,
                       checkpoint, checkpoint_every, health, policy,
                       on_shrink):
-    """One rank's full Cactus program (shared by both backends)."""
-    shape = gamma.shape[2:]
+    """One rank's full Cactus program (shared by both backends).
+
+    ``gamma``/``K`` are the global packed (6, ...) fields.
+    """
+    shape = alpha.shape
     monitor = None
     if health is not None:
         from ...resilience.health import HealthMonitor
@@ -234,19 +247,34 @@ def _cactus_rank_body(comm: Comm, gamma, K, alpha, *, spacing, dt, gauge,
     solver = build(decomp)
 
     def save(label: int) -> None:
-        state = dict(gamma=solver.gamma, K=solver.K,
-                     alpha=solver.alpha,
-                     time=np.float64(solver.time))
+        state = dict(gamma=solver.gamma_packed, K=solver.K_packed,
+                     alpha=solver.alpha, time=np.float64(solver.time))
         if solver._prev_state is not None:
             prev_g, prev_K, prev_a = solver._prev_state
             state.update(prev_gamma=prev_g, prev_K=prev_K,
                          prev_alpha=prev_a)
         checkpoint.save(label, comm.rank, **state)
 
+    def read(label: int, rank: int, block: tuple) -> dict:
+        """Rank ``rank``'s arrays at ``label``, shape-checked against
+        the packed layout of a ``block``-shaped shard."""
+        data = checkpoint.load(label, rank)
+        packed = (6, *block)
+        for name, want in (("gamma", packed), ("K", packed),
+                           ("alpha", block), ("prev_gamma", packed),
+                           ("prev_K", packed), ("prev_alpha", block)):
+            if name in data and data[name].shape != want:
+                from ...resilience.checkpoint import CheckpointError
+                raise CheckpointError(
+                    f"array {name!r} has shape {data[name].shape}, "
+                    f"expected {want} (packed symmetric layout)",
+                    step=label, rank=rank)
+        return data
+
     def load(label: int) -> None:
-        data = checkpoint.load(label, comm.rank)
-        solver.gamma[...] = data["gamma"]
-        solver.K[...] = data["K"]
+        data = read(label, comm.rank, solver.shape)
+        solver.gamma_packed[...] = data["gamma"]
+        solver.K_packed[...] = data["K"]
         solver.alpha[...] = data["alpha"]
         solver.time = float(data["time"][()])
         solver.step_count = label
@@ -259,19 +287,17 @@ def _cactus_rank_body(comm: Comm, gamma, K, alpha, *, spacing, dt, gauge,
 
     def snapshot():
         prev = solver._prev_state
-        return (solver.gamma.copy(), solver.K.copy(),
-                solver.alpha.copy(), solver.time,
+        return (tuple(f.copy() for f in solver.state()), solver.time,
                 solver.step_count,
                 None if prev is None else tuple(p.copy()
                                                 for p in prev))
 
     def restore(snap) -> None:
-        solver.gamma[...] = snap[0]
-        solver.K[...] = snap[1]
-        solver.alpha[...] = snap[2]
-        solver.time = snap[3]
-        solver.step_count = snap[4]
-        solver._prev_state = snap[5]
+        for f, saved in zip(solver.state(), snap[0]):
+            f[...] = saved
+        solver.time = snap[1]
+        solver.step_count = snap[2]
+        solver._prev_state = snap[3]
 
     def _neighbor_set(s: _RankCactus) -> set:
         return {comm._global(r)
@@ -287,38 +313,32 @@ def _cactus_rank_body(comm: Comm, gamma, K, alpha, *, spacing, dt, gauge,
             ProcessorGrid.for_nprocs(comm.size, 3), shape))
         label = record.rollback_step
         if label > 0 and checkpoint is not None:
-            fields = {"gamma": np.zeros_like(gamma),
-                      "K": np.zeros_like(K),
-                      "alpha": np.zeros_like(alpha)}
+            names = ("gamma", "K", "alpha")
+            fields = {n: np.zeros_like(f)
+                      for n, f in zip(names, (gamma, K, alpha))}
             prev = None
             time = 0.0
             for old in range(nprocs):
-                data = checkpoint.load(label, old)
-                loc = tuple(slice(a, b)
-                            for a, b in decomp.bounds(old))
-                key = (slice(None), slice(None)) + loc
-                fields["gamma"][key] = data["gamma"]
-                fields["K"][key] = data["K"]
-                fields["alpha"][loc] = data["alpha"]
+                bounds = decomp.bounds(old)
+                data = read(label, old, tuple(b - a for a, b in bounds))
+                key = (Ellipsis,) + tuple(slice(a, b) for a, b in bounds)
+                for n in names:
+                    fields[n][key] = data[n]
                 time = float(data["time"][()])
                 if "prev_gamma" in data:
                     if prev is None:
-                        prev = (np.zeros_like(gamma),
-                                np.zeros_like(K),
-                                np.zeros_like(alpha))
-                    prev[0][key] = data["prev_gamma"]
-                    prev[1][key] = data["prev_K"]
-                    prev[2][loc] = data["prev_alpha"]
-            loc = tuple(slice(a, b) for a, b in solver.bounds)
-            key = (slice(None), slice(None)) + loc
-            solver.gamma[...] = fields["gamma"][key]
-            solver.K[...] = fields["K"][key]
-            solver.alpha[...] = fields["alpha"][loc]
+                        prev = {n: np.zeros_like(f)
+                                for n, f in fields.items()}
+                    for n in names:
+                        prev[n][key] = data["prev_" + n]
+            key = (Ellipsis,) + tuple(slice(a, b)
+                                      for a, b in solver.bounds)
+            for f, n in zip(solver.state(), names):
+                f[...] = fields[n][key]
             solver.time = time
             solver.step_count = label
-            solver._prev_state = None if prev is None else (
-                prev[0][key].copy(), prev[1][key].copy(),
-                prev[2][loc].copy())
+            solver._prev_state = None if prev is None else tuple(
+                prev[n][key].copy() for n in names)
         runner.neighbors = _neighbor_set(solver)
         if callable(on_shrink):
             on_shrink(comm, record)
@@ -327,8 +347,8 @@ def _cactus_rank_body(comm: Comm, gamma, K, alpha, *, spacing, dt, gauge,
         if injector is not None:
             injector.tick(comm.rank, step_index)
             injector.sdc(comm.rank, step_index,
-                         {"gamma": solver.gamma, "K": solver.K,
-                          "alpha": solver.alpha})
+                         {"gamma": solver.gamma_packed,
+                          "K": solver.K_packed, "alpha": solver.alpha})
         if tracer.enabled:
             tracer.instant(comm.rank, "step", "phase",
                            {"step": step_index})
@@ -337,8 +357,7 @@ def _cactus_rank_body(comm: Comm, gamma, K, alpha, *, spacing, dt, gauge,
         if monitor is not None and monitor.due(step_index):
             with comm.phase("diagnostics"):
                 monitor.guard_finite(step_index, "cactus.finite",
-                                     solver.gamma, solver.K,
-                                     solver.alpha)
+                                     *solver.state())
                 h_linf = comm.allreduce(solver.hamiltonian_linf(),
                                         op="max")
                 monitor.check_bounded(step_index,
@@ -354,4 +373,5 @@ def _cactus_rank_body(comm: Comm, gamma, K, alpha, *, spacing, dt, gauge,
         on_shrink=shrink_hook if on_shrink else None,
         neighbors=_neighbor_set(solver))
     runner.run(body)
-    return solver.bounds, solver.gamma, solver.K, solver.alpha
+    return solver.bounds, solver.gamma_packed, solver.K_packed, \
+        solver.alpha

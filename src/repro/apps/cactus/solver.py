@@ -4,6 +4,12 @@ Couples the pieces: ghost-extended storage (:mod:`stencils`), the ADM
 right-hand side (:mod:`adm`), method-of-lines integrators (:mod:`mol`),
 and boundary conditions (:mod:`boundaries`).  Weak scaling, constraint
 monitoring, and the parallel driver mirror the paper's §5 usage.
+
+The state is the paper's 12 evolution variables plus the lapse: packed
+symmetric gamma_ij and K_ij (6 components each, :mod:`tensors`) and
+alpha, 13 fields in all.  Full (3, 3, ...) tensors are packed once on
+the way in and unpacked only by the read-only :attr:`CactusSolver.gamma`
+and :attr:`CactusSolver.K` accessors.
 """
 
 from __future__ import annotations
@@ -14,10 +20,14 @@ import numpy as np
 
 from .adm import GAUGES, adm_rhs
 from .boundaries import apply_sommerfeld
-from .geometry import (Curvature, curvature, hamiltonian_constraint,
-                       momentum_constraint)
+from .geometry import (Curvature, Workspace, curvature,
+                       hamiltonian_constraint, momentum_constraint)
 from .mol import INTEGRATORS, State, icn_step, leapfrog_step, step as mol_step
 from .stencils import extend, fill_ghosts_periodic, ghost_for, kreiss_oliger
+from .tensors import to_full, to_packed
+
+#: Sommerfeld asymptotic value of each packed gamma component (flat metric)
+_FLAT = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0])[:, None, None]
 
 
 @dataclass
@@ -33,23 +43,32 @@ class ConstraintNorms:
 
 
 class CactusSolver:
-    """3+1 vacuum ADM evolution on a periodic or radiative 3D box."""
+    """3+1 vacuum ADM evolution on a periodic or radiative 3D box.
+
+    Takes full (3, 3, nx, ny, nz) ``gamma`` and ``K``, and the keyword
+    options of :meth:`_setup`; the evolved state is
+    ``gamma_packed``/``K_packed`` (6, nx, ny, nz) and ``alpha``.
+    """
 
     def __init__(self, gamma: np.ndarray, K: np.ndarray,
-                 alpha: np.ndarray, *,
-                 spacing: float | tuple[float, float, float] = 0.1,
-                 dt: float | None = None, gauge: str = "harmonic",
-                 integrator: str = "icn", boundary: str = "periodic",
-                 dissipation: float = 0.0, order: int = 2):
+                 alpha: np.ndarray, **options):
+        if gamma.shape[:2] != (3, 3) or K.shape != gamma.shape:
+            raise ValueError("gamma and K must be full (3,3,nx,ny,nz)")
+        self._setup(to_packed(gamma), to_packed(K), alpha, **options)
+
+    def _setup(self, gamma: np.ndarray, K: np.ndarray, alpha: np.ndarray,
+               *, spacing: float | tuple[float, float, float] = 0.1,
+               dt: float | None = None, gauge: str = "harmonic",
+               integrator: str = "icn", boundary: str = "periodic",
+               dissipation: float = 0.0, order: int = 2) -> None:
+        """Validate the options and take packed (6, ...) state."""
         if gauge not in GAUGES:
             raise ValueError(f"unknown gauge {gauge!r}")
         if integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {integrator!r}")
         if boundary not in ("periodic", "radiative"):
             raise ValueError(f"unknown boundary {boundary!r}")
-        if gamma.shape[:2] != (3, 3) or K.shape != gamma.shape:
-            raise ValueError("gamma and K must be full (3,3,nx,ny,nz)")
-        self.shape = gamma.shape[2:]
+        self.shape = gamma.shape[1:]
         if alpha.shape != self.shape:
             raise ValueError("alpha shape mismatch")
         if isinstance(spacing, (int, float)):
@@ -69,12 +88,26 @@ class CactusSolver:
         #: boundaries on plain ADM need it to suppress the boundary-fed
         #: high-frequency instability.
         self.dissipation = dissipation
-        self.gamma = gamma.astype(np.float64).copy()
-        self.K = K.astype(np.float64).copy()
-        self.alpha = alpha.astype(np.float64).copy()
+        #: packed (6, ...) gamma_ij and K_ij: the evolved state
+        self.gamma_packed = np.array(gamma, dtype=np.float64)
+        self.K_packed = np.array(K, dtype=np.float64)
+        self.alpha = np.array(alpha, dtype=np.float64)
         self.time = 0.0
         self.step_count = 0
         self._prev_state: State | None = None  # leapfrog history
+        #: the kernels' scratch arrays, reused by every evaluation
+        self._work = Workspace(tuple(n + 2 * self.ghost
+                                     for n in self.shape), order)
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """The 3-metric as a full (3, 3, ...) array (a read-only copy)."""
+        return _read_only(to_full(self.gamma_packed))
+
+    @property
+    def K(self) -> np.ndarray:
+        """Extrinsic curvature as a full (3, 3, ...) array (read-only)."""
+        return _read_only(to_full(self.K_packed))
 
     # -- ghost handling ------------------------------------------------------
     def _extended(self, state: State) -> tuple[np.ndarray, ...]:
@@ -110,7 +143,7 @@ class CactusSolver:
         g_ext, K_ext, a_ext = self._extended(state)
         dt_gamma, dt_K, dt_alpha = adm_rhs(
             g_ext, K_ext, a_ext, self.spacing, self.gauge,
-            order=self.order)
+            order=self.order, work=self._work)
         if self.dissipation > 0.0:
             dt_gamma = dt_gamma + kreiss_oliger(
                 g_ext, self.spacing, self.dissipation, ghost=self.ghost)
@@ -119,23 +152,21 @@ class CactusSolver:
             dt_alpha = dt_alpha + kreiss_oliger(
                 a_ext, self.spacing, self.dissipation, ghost=self.ghost)
         if self.boundary == "radiative":
-            for i in range(3):
-                for j in range(i, 3):
-                    f0 = 1.0 if i == j else 0.0
-                    apply_sommerfeld(gamma[i, j], dt_gamma[i, j], f0,
-                                     self.shape, self.spacing)
-                    apply_sommerfeld(K[i, j], dt_K[i, j], 0.0,
-                                     self.shape, self.spacing)
-                    dt_gamma[j, i] = dt_gamma[i, j]
-                    dt_K[j, i] = dt_K[i, j]
+            apply_sommerfeld(gamma, dt_gamma, _FLAT, self.shape,
+                             self.spacing)
+            apply_sommerfeld(K, dt_K, 0.0, self.shape, self.spacing)
             apply_sommerfeld(alpha, dt_alpha, 1.0, self.shape,
                              self.spacing)
         return dt_gamma, dt_K, dt_alpha
 
     # -- public API ------------------------------------------------------------
+    def state(self) -> State:
+        """The evolved fields: packed gamma, packed K, alpha."""
+        return self.gamma_packed, self.K_packed, self.alpha
+
     def step(self, nsteps: int = 1) -> None:
         for _ in range(nsteps):
-            state = (self.gamma, self.K, self.alpha)
+            state = self.state()
             if self.integrator == "leapfrog":
                 if self._prev_state is None:
                     new = icn_step(state, self._rhs, self.dt)
@@ -146,14 +177,15 @@ class CactusSolver:
             else:
                 new = mol_step(self.integrator, state, self._rhs,
                                self.dt)
-            self.gamma, self.K, self.alpha = new
+            self.gamma_packed, self.K_packed, self.alpha = new
             self.time += self.dt
             self.step_count += 1
 
     def _geometry(self) -> tuple[Curvature, np.ndarray]:
         """Curvature of the current metric, and the ghost-extended K."""
-        g_ext, K_ext, _ = self._extended((self.gamma, self.K, self.alpha))
-        return curvature(g_ext, self.spacing, self.order), K_ext
+        g_ext, K_ext, _ = self._extended(self.state())
+        return curvature(g_ext, self.spacing, self.order,
+                         self._work), K_ext
 
     def hamiltonian_linf(self) -> float:
         """Max-norm of the Hamiltonian constraint alone (health checks)."""
@@ -172,12 +204,17 @@ class CactusSolver:
 
     def deviation_from(self, gamma: np.ndarray, K: np.ndarray,
                        alpha: np.ndarray) -> float:
-        """Max-norm distance to a reference solution (exact-wave tests)."""
-        return max(float(np.abs(self.gamma - gamma).max()),
-                   float(np.abs(self.K - K).max()),
+        """Max-norm distance to a full-tensor reference solution
+        (exact-wave tests)."""
+        return max(float(np.abs(self.gamma_packed
+                                - to_packed(gamma)).max()),
+                   float(np.abs(self.K_packed - to_packed(K)).max()),
                    float(np.abs(self.alpha - alpha).max()))
 
     def max_field(self) -> float:
-        return max(float(np.abs(self.gamma).max()),
-                   float(np.abs(self.K).max()),
-                   float(np.abs(self.alpha).max()))
+        return max(float(np.abs(f).max()) for f in self.state())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensors import SYM_INDEX
+
 GHOST = 2  # default (2nd-order) ghost width
 
 
@@ -189,16 +191,13 @@ def grad(f: np.ndarray, spacing: tuple[float, float, float],
 
 def hessian(f: np.ndarray, spacing: tuple[float, float, float],
             order: int = 2, out: np.ndarray | None = None) -> np.ndarray:
-    """Symmetric (3,3,...) matrix of second derivatives."""
+    """Second derivatives as a packed symmetric (6, ...) field, in the
+    order (xx, xy, xz, yy, yz, zz)."""
     if out is None:
-        out = np.empty((3, 3, *_shrunk_shape(f, order // 2)),
+        out = np.empty((6, *_shrunk_shape(f, order // 2)),
                        dtype=np.result_type(f.dtype, np.float64))
-    for a in range(3):
-        for b in range(a, 3):
-            deriv_mixed(f, a, b, spacing[a], spacing[b], order,
-                        out=out[a, b])
-            if a != b:
-                out[b, a] = out[a, b]
+    for p, (a, b) in enumerate(SYM_INDEX):
+        deriv_mixed(f, a, b, spacing[a], spacing[b], order, out=out[p])
     return out
 
 

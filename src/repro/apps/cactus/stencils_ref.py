@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .stencils import _D1_O4, _D2_O4, GHOST, _shifted
+from .tensors import SYM_INDEX
 
 
 def deriv1_ref(f: np.ndarray, ax: int, h: float,
@@ -78,15 +79,12 @@ def grad_ref(f: np.ndarray, spacing: tuple[float, float, float],
 
 def hessian_ref(f: np.ndarray, spacing: tuple[float, float, float],
                 order: int = 2) -> np.ndarray:
-    """Naive Hessian built from allocating mixed derivatives."""
+    """Naive packed (6, ...) Hessian built from allocating mixed
+    derivatives."""
     out_shape = deriv2_ref(f, 0, spacing[0], order).shape
-    h = np.empty((3, 3, *out_shape))
-    for a in range(3):
-        for b in range(a, 3):
-            h[a, b] = deriv_mixed_ref(f, a, b, spacing[a], spacing[b],
-                                      order)
-            if a != b:
-                h[b, a] = h[a, b]
+    h = np.empty((6, *out_shape))
+    for p, (a, b) in enumerate(SYM_INDEX):
+        h[p] = deriv_mixed_ref(f, a, b, spacing[a], spacing[b], order)
     return h
 
 

@@ -186,7 +186,7 @@ def bench_cactus_stencils(quick: bool = False) -> dict:
     inner = n - 2
     core = n - 2 * st.GHOST
     g_out = np.empty((3, inner, inner, inner))
-    h_out = np.empty((3, 3, inner, inner, inner))
+    h_out = np.empty((6, inner, inner, inner))
     k_out = np.empty((core, core, core))
 
     def fused() -> None:

@@ -922,7 +922,7 @@ class ParallelJob:
         results: list = [None] * self.nprocs
         errors: list = [None] * self.nprocs
 
-        def worker(rank: int, shared_: _Shared = shared,
+        def worker(rank: int, shared_: _Shared,
                    replay_info: ReplayInfo | None = None) -> None:
             comm = Comm(rank, shared_, replay_info=replay_info)
             extra = rank_args[rank] if rank_args is not None else args
@@ -956,9 +956,26 @@ class ParallelJob:
 
         shared.spawn_replacement = spawn_replacement
         self.transport.dead_callbacks[:] = [shared.barrier.abort]
+        try:
+            return self._run_threads(worker, shared, results, errors)
+        finally:
+            # The spawn hook closes over ``worker`` and so over this job,
+            # the dead callbacks hold its barrier, and a rank error's
+            # traceback holds ``worker``'s frame and so ``errors``: drop
+            # all three, so no reference cycle keeps the transport (pool
+            # buffers, replay logs, message records) alive after the job.
+            shared.spawn_replacement = None
+            self.transport.dead_callbacks.clear()
+            errors[:] = [None] * len(errors)
+
+    def _run_threads(self, worker: Callable, shared: _Shared,
+                     results: list, errors: list) -> list:
+        """Start one thread per rank, join until quiescent, and return
+        the results or raise the root-cause rank error."""
         with self._tlock:
             self._threads = [
-                threading.Thread(target=worker, args=(r,), daemon=True)
+                threading.Thread(target=worker, args=(r, shared),
+                                 daemon=True)
                 for r in range(self.nprocs)]
             initial = list(self._threads)
         for t in initial:

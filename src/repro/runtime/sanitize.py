@@ -35,11 +35,14 @@ overwrite before use.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from typing import Any, Iterable
 
 import numpy as np
+
+import repro
 
 __all__ = [
     "BorrowWriteError", "FrozenBorrow", "HaloGuard", "HaloReadError",
@@ -78,6 +81,21 @@ class HaloReadError(SanitizeError):
     """Halo cells consumed before this step's exchange ran."""
 
 
+#: checkout directory that holds the ``repro`` package, "/"-separated
+_PACKAGE_PARENT = os.path.dirname(os.path.dirname(
+    repro.__file__)).replace("\\", "/") + "/"
+
+
+@functools.cache
+def _site_file(co_filename: str) -> tuple[str, str]:
+    """(the path with "/" separators, the path a site prints): a file of
+    the package is named relative to :data:`_PACKAGE_PARENT`."""
+    fname = co_filename.replace("\\", "/")
+    if fname.startswith(_PACKAGE_PARENT + "repro/"):
+        return fname, fname[len(_PACKAGE_PARENT):]
+    return fname, fname
+
+
 def caller_site(skip_fragments: tuple[str, ...] = ("/repro/runtime/",)
                 ) -> str:
     """``file:line in function`` of the innermost non-runtime frame.
@@ -86,14 +104,18 @@ def caller_site(skip_fragments: tuple[str, ...] = ("/repro/runtime/",)
     another rank, in another phase) still names the line that created
     the obligation.  A walk along the live frames' ``f_back`` links: it
     reads no source line, so it stats no file, and it stops at the first
-    frame outside the runtime, however deep the stack below it.
+    frame outside the runtime, however deep the stack below it.  A file
+    of the ``repro`` package is named relative to the directory holding
+    the package (``repro/apps/lbmhd/parallel.py``), so sites do not
+    depend on where the checkout lives; ``skip_fragments`` match the
+    full path.
     """
     frame = sys._getframe()
     while frame is not None:
         code = frame.f_code
-        fname = code.co_filename.replace("\\", "/")
+        fname, shown = _site_file(code.co_filename)
         if not any(frag in fname for frag in skip_fragments):
-            return f"{fname}:{frame.f_lineno} in {code.co_name}"
+            return f"{shown}:{frame.f_lineno} in {code.co_name}"
         frame = frame.f_back
     return "<unknown site>"
 

@@ -1,4 +1,4 @@
-"""Curvature computation and the ADM right-hand side."""
+"""Curvature computation and the ADM right-hand side (packed fields)."""
 
 import numpy as np
 import pytest
@@ -19,13 +19,29 @@ from repro.apps.cactus.stencils import (
     grad,
     interior,
 )
-from repro.apps.cactus.tensors import identity_metric, sym_inverse, symmetrize
+from repro.apps.cactus.tensors import (
+    SLOT,
+    identity_metric,
+    to_packed,
+)
+from tests.apps.cactus import full_tensor
+from tests.apps.cactus.full_tensor import (
+    packed_christoffel,
+    sym_inverse,
+    symmetrize,
+)
 
 
 def extended(field, ghost=GHOST):
+    """Ghost-extended copy of a scalar or packed field (periodic)."""
     e = extend(field, ghost)
     fill_ghosts_periodic(e, ghost)
     return e
+
+
+def packed(field, ghost=GHOST):
+    """Pack a full (3, 3, ...) tensor and ghost-extend it."""
+    return extended(to_packed(field), ghost)
 
 
 def _curvature_reference(gamma_ext, spacing, order):
@@ -74,7 +90,7 @@ def _random_metric(shape, seed, amplitude=0.05):
 class TestCurvature:
     def test_flat_metric_curvature_free(self):
         g = identity_metric((8, 8, 8))
-        geo = curvature(extended(g), (0.1, 0.1, 0.1))
+        geo = curvature(packed(g), (0.1, 0.1, 0.1))
         np.testing.assert_allclose(geo.christoffel, 0.0, atol=1e-14)
         np.testing.assert_allclose(geo.ricci, 0.0, atol=1e-14)
         np.testing.assert_allclose(ricci_scalar(geo), 0.0, atol=1e-14)
@@ -90,7 +106,7 @@ class TestCurvature:
         psi = 1.0 + eps * np.sin(xx) * np.cos(yy)
         lap = -2.0 * eps * np.sin(xx) * np.cos(yy)
         g = identity_metric((n, n, n)) * psi**4
-        geo = curvature(extended(g), (h, h, h))
+        geo = curvature(packed(g), (h, h, h))
         R = ricci_scalar(geo)
         # O(h^2) truncation of the FD Laplacian at n=16 allows ~5% error.
         np.testing.assert_allclose(R, -8.0 * lap, atol=eps * 1.5)
@@ -98,15 +114,19 @@ class TestCurvature:
     def test_gauge_wave_spatial_ricci(self):
         """gamma = diag(H(x),1,1) is a flat 3-metric: Ricci = 0."""
         g, _, _ = gauge_wave((32, 4, 4), 1.0 / 32, amplitude=0.1)
-        geo = curvature(extended(g), (1.0 / 32, 1.0, 1.0))
+        geo = curvature(packed(g), (1.0 / 32, 1.0, 1.0))
         assert np.abs(geo.ricci).max() < 1e-10
 
     def test_christoffel_symmetry(self):
+        """Gamma^k_(ij) is stored once per symmetric pair, (3, 6, ...),
+        and expands to the full layout's symmetric (3, 3, 3, ...)."""
         g, _, _ = gauge_wave((16, 4, 4), 1.0 / 16, amplitude=0.2)
-        geo = curvature(extended(g), (1.0 / 16, 1.0, 1.0))
-        np.testing.assert_allclose(
-            geo.christoffel, np.swapaxes(geo.christoffel, 1, 2),
-            atol=1e-14)
+        spacing = (1.0 / 16, 1.0, 1.0)
+        geo = curvature(packed(g), spacing)
+        assert geo.christoffel.shape == (3, 6, 18, 6, 6)
+        ref = full_tensor.curvature(extended(g), spacing).christoffel
+        assert np.array_equal(ref, np.swapaxes(ref, 1, 2))
+        assert np.array_equal(geo.christoffel[:, SLOT], ref)
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_matches_textbook_reference(self, order):
@@ -114,26 +134,26 @@ class TestCurvature:
         g = _random_metric((10, 9, 8), seed=17 + order)
         g_ext = extended(g, ghost_for(order))
         spacing = (0.1, 0.12, 0.09)
-        geo = curvature(g_ext, spacing, order)
+        geo = curvature(extended(to_packed(g), ghost_for(order)), spacing,
+                        order)
         ref_G, ref_R = _curvature_reference(g_ext, spacing, order)
-        for got, ref in ((geo.christoffel, ref_G), (geo.ricci, ref_R)):
+        for got, ref in ((geo.christoffel, packed_christoffel(ref_G)),
+                         (geo.ricci, to_packed(ref_R))):
             assert got.shape == ref.shape
             np.testing.assert_allclose(
                 got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
-        assert np.array_equal(geo.christoffel,
-                              np.swapaxes(geo.christoffel, 1, 2))
 
     def test_non_tensor_input_rejected(self):
-        with pytest.raises(ValueError):
-            curvature(np.zeros((6, 8, 8, 8)), (0.1,) * 3)
+        with pytest.raises(ValueError, match="packed"):
+            curvature(np.zeros((3, 3, 8, 8, 8)), (0.1,) * 3)
 
 
 class TestConstraints:
     def test_flat_space_constraints_zero(self):
         g, K, _ = minkowski((8, 8, 8))
-        geo = curvature(extended(g), (0.1,) * 3)
-        H = hamiltonian_constraint(geo, extended(K))
-        M = momentum_constraint(geo, extended(K), (0.1,) * 3)
+        geo = curvature(packed(g), (0.1,) * 3)
+        H = hamiltonian_constraint(geo, packed(K))
+        M = momentum_constraint(geo, packed(K), (0.1,) * 3)
         np.testing.assert_allclose(H, 0.0, atol=1e-13)
         np.testing.assert_allclose(M, 0.0, atol=1e-13)
 
@@ -146,9 +166,9 @@ class TestConstraints:
         for n in (32, 64):
             dx = 1.0 / n
             g, K, _ = gauge_wave((n, 4, 4), dx, amplitude=0.1)
-            geo = curvature(extended(g), (dx, 1.0, 1.0))
-            H = hamiltonian_constraint(geo, extended(K))
-            M = momentum_constraint(geo, extended(K), (dx, 1.0, 1.0))
+            geo = curvature(packed(g), (dx, 1.0, 1.0))
+            H = hamiltonian_constraint(geo, packed(K))
+            M = momentum_constraint(geo, packed(K), (dx, 1.0, 1.0))
             assert np.abs(H).max() < 1e-10
             errs.append(np.abs(M).max())
         assert errs[1] < errs[0]
@@ -165,7 +185,7 @@ class TestConstraints:
             psi = 1.0 + eps * np.sin(xx) * np.cos(yy)
             lap = -2.0 * eps * np.sin(xx) * np.cos(yy)
             g = identity_metric((n, n, n)) * psi**4
-            geo = curvature(extended(g), (h, h, h))
+            geo = curvature(packed(g), (h, h, h))
             errs.append(np.abs(ricci_scalar(geo) + 8.0 * lap).max())
         assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.4)
 
@@ -174,13 +194,14 @@ class TestConstraints:
         """Contracting before building D_k K_ij changes only rounding."""
         spacing = (0.1, 0.12, 0.09)
         ghost = ghost_for(order)
-        geo = curvature(extended(_random_metric((10, 9, 8), seed=order),
-                                 ghost), spacing, order)
+        g = _random_metric((10, 9, 8), seed=order)
+        geo = curvature(packed(g, ghost), spacing, order)
         K = _random_metric((10, 9, 8), seed=40 + order, amplitude=0.3) \
             - identity_metric((10, 9, 8))
-        K_ext = extended(K, ghost)
-        got = momentum_constraint(geo, K_ext, spacing)
-        ref = _momentum_reference(geo, K_ext, spacing)
+        got = momentum_constraint(geo, packed(K, ghost), spacing)
+        ref = _momentum_reference(
+            full_tensor.curvature(extended(g, ghost), spacing, order),
+            extended(K, ghost), spacing)
         assert got.shape == ref.shape == (3, 10, 9, 8)
         assert np.abs(ref).max() > 1.0
         np.testing.assert_allclose(
@@ -191,15 +212,15 @@ class TestConstraints:
         # Two distinct eigenvalues: trK^2 != K_ij K^ij, so H != 0.
         K[0, 0] += 0.1
         K[1, 1] += 0.2
-        geo = curvature(extended(g), (0.1,) * 3)
-        H = hamiltonian_constraint(geo, extended(K))
+        geo = curvature(packed(g), (0.1,) * 3)
+        H = hamiltonian_constraint(geo, packed(K))
         assert np.abs(H).max() > 1e-3
 
 
 class TestADMRHS:
     def test_minkowski_is_stationary(self):
         g, K, a = minkowski((8, 8, 8))
-        dtg, dtK, dta = adm_rhs(extended(g), extended(K), extended(a),
+        dtg, dtK, dta = adm_rhs(packed(g), packed(K), extended(a),
                                 (0.1,) * 3)
         np.testing.assert_allclose(dtg, 0.0, atol=1e-14)
         np.testing.assert_allclose(dtK, 0.0, atol=1e-14)
@@ -208,9 +229,9 @@ class TestADMRHS:
     def test_dt_gamma_is_minus_2_alpha_K(self):
         g, K, a = minkowski((8, 8, 8))
         K[0, 1] = K[1, 0] = 0.05
-        dtg, _, _ = adm_rhs(extended(g), extended(K), extended(a),
+        dtg, _, _ = adm_rhs(packed(g), packed(K), extended(a),
                             (0.1,) * 3)
-        np.testing.assert_allclose(dtg[0, 1], -0.1, atol=1e-12)
+        np.testing.assert_allclose(dtg[SLOT[0, 1]], -0.1, atol=1e-12)
 
     def test_gauge_wave_rhs_matches_exact_time_derivative(self):
         """Compare the ADM RHS against the analytic dt of the exact
@@ -218,13 +239,15 @@ class TestADMRHS:
         n, dx = 64, 1.0 / 64
         shape = (n, 4, 4)
         g0, K0, a0 = gauge_wave(shape, dx, amplitude=0.05, t=0.0)
-        dtg, dtK, dta = adm_rhs(extended(g0), extended(K0), extended(a0),
+        dtg, dtK, dta = adm_rhs(packed(g0), packed(K0), extended(a0),
                                 (dx, 1.0, 1.0), gauge="harmonic")
         eps = 1e-6
         gp, Kp, ap = gauge_wave(shape, dx, amplitude=0.05, t=eps)
         gm, Km, am = gauge_wave(shape, dx, amplitude=0.05, t=-eps)
-        np.testing.assert_allclose(dtg, (gp - gm) / (2 * eps), atol=5e-3)
-        np.testing.assert_allclose(dtK, (Kp - Km) / (2 * eps), atol=5e-3)
+        np.testing.assert_allclose(dtg, to_packed(gp - gm) / (2 * eps),
+                                   atol=5e-3)
+        np.testing.assert_allclose(dtK, to_packed(Kp - Km) / (2 * eps),
+                                   atol=5e-3)
         np.testing.assert_allclose(dta, (ap - am) / (2 * eps), atol=5e-3)
 
     def test_lapse_gauges(self):

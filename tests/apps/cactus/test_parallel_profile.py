@@ -12,6 +12,7 @@ from repro.apps.cactus.profile import (
 )
 from repro.apps.cactus.initial import gauge_wave, random_perturbation
 from repro.apps.cactus.solver import CactusSolver
+from repro.apps.cactus.stencils import ghost_for
 from repro.machine import ALTIX, ES, POWER3, POWER4, X1
 from repro.perf import PerformanceModel
 from repro.runtime import Transport
@@ -53,6 +54,12 @@ class TestParallel:
                      transport=tr)
         # 2 ranks x 4 RHS x 1 split axis x 2 directions = 16 messages.
         assert tr.message_count() == 16
+        # Each carries the 13 evolved fields (6 gamma_ij, 6 K_ij, alpha)
+        # on a ghost-wide strip spanning the other axes' ghosts.
+        ghost = ghost_for(2)
+        strip = ghost * (8 + 2 * ghost) ** 2
+        assert {m.nbytes for m in tr.messages} == {13 * strip * 8}
+        assert tr.total_bytes() == 16 * 13 * strip * 8
 
 
 def predict(machine, grid=(250, 64, 64), nprocs=16, **kw):

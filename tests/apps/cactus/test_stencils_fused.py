@@ -78,7 +78,7 @@ def test_kreiss_oliger_matches_reference(field, sigma):
 def test_out_parameter_reuse_gives_same_answer(field):
     """Preallocated outputs (the solver's usage) change nothing."""
     g_out = np.empty((3, 12, 10, 11))
-    h_out = np.empty((3, 3, 12, 10, 11))
+    h_out = np.empty((6, 12, 10, 11))
     k_out = np.empty((10, 8, 9))
     for _ in range(2):  # second pass exercises dirty-buffer reuse
         st.grad(field, SPACING, out=g_out)

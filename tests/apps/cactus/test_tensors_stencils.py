@@ -17,19 +17,21 @@ from repro.apps.cactus.stencils import (
     interior,
 )
 from repro.apps.cactus.tensors import (
+    SLOT,
     SYM_INDEX,
     identity_metric,
+    mixed,
     sym_det,
     sym_inverse,
-    symmetrize,
     to_full,
     to_packed,
     trace,
 )
+from tests.apps.cactus import full_tensor
 
 
 def random_spd(shape=(4, 4, 4), seed=0):
-    """Random symmetric positive-definite metric field."""
+    """Random symmetric positive-definite metric field (full layout)."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((3, 3, *shape)) * 0.2
     g = identity_metric(shape) + 0.5 * (a + np.swapaxes(a, 0, 1))
@@ -46,15 +48,17 @@ class TestTensors:
 
     def test_sym_index_order(self):
         assert SYM_INDEX == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+        for p, (i, j) in enumerate(SYM_INDEX):
+            assert SLOT[i, j] == SLOT[j, i] == p
 
     def test_identity_det_inverse(self):
-        g = identity_metric((3, 3, 3))
+        g = to_packed(identity_metric((3, 3, 3)))
         np.testing.assert_allclose(sym_det(g), 1.0)
         np.testing.assert_allclose(sym_inverse(g), g)
 
     def test_inverse_against_numpy(self):
         g = random_spd(seed=3)
-        inv = sym_inverse(g)
+        inv = to_full(sym_inverse(to_packed(g)))
         gm = np.moveaxis(g, (0, 1), (-2, -1))
         expect = np.moveaxis(np.linalg.inv(gm), (-2, -1), (0, 1))
         np.testing.assert_allclose(inv, expect, atol=1e-12)
@@ -62,31 +66,51 @@ class TestTensors:
     def test_det_against_numpy(self):
         g = random_spd(seed=4)
         gm = np.moveaxis(g, (0, 1), (-2, -1))
-        np.testing.assert_allclose(sym_det(g), np.linalg.det(gm),
-                                   atol=1e-12)
+        np.testing.assert_allclose(sym_det(to_packed(g)),
+                                   np.linalg.det(gm), atol=1e-12)
+
+    def test_packed_algebra_equals_full_layout(self):
+        """Same products in the same order: the packed determinant and
+        inverse equal the full-layout adjugate forms bit for bit."""
+        g = random_spd(seed=5)
+        assert np.array_equal(sym_det(to_packed(g)), full_tensor.sym_det(g))
+        assert np.array_equal(sym_inverse(to_packed(g)),
+                              to_packed(full_tensor.sym_inverse(g)))
 
     def test_trace(self):
-        g = identity_metric((2, 2, 2))
-        t = identity_metric((2, 2, 2)) * 2.0
+        g = to_packed(identity_metric((2, 2, 2)))
+        t = 2.0 * g
         np.testing.assert_allclose(trace(t, g), 6.0)
 
+    def test_trace_counts_off_diagonals_twice(self):
+        g, t = random_spd(seed=6), random_spd(seed=7)
+        np.testing.assert_allclose(
+            trace(to_packed(t), to_packed(g)), full_tensor.trace(t, g),
+            rtol=1e-14)
+
+    def test_mixed_raises_one_index(self):
+        g, t = random_spd(seed=8), random_spd(seed=9)
+        np.testing.assert_allclose(
+            mixed(to_packed(g), to_packed(t)),
+            np.einsum("ik...,kj...->ij...", g, t), rtol=1e-14)
+
     def test_singular_metric_rejected(self):
-        g = np.zeros((3, 3, 2, 2, 2))
+        g = np.zeros((6, 2, 2, 2))
         with pytest.raises(ValueError, match="singular"):
             sym_inverse(g)
 
-    def test_symmetrize(self):
-        rng = np.random.default_rng(0)
-        t = rng.standard_normal((3, 3, 2, 2, 2))
-        s = symmetrize(t)
-        np.testing.assert_allclose(s, np.swapaxes(s, 0, 1))
+    def test_layout_checks(self):
+        with pytest.raises(ValueError, match="leading dim 6"):
+            to_full(np.zeros((3, 3, 2, 2, 2)))
+        with pytest.raises(ValueError, match="leading dims"):
+            to_packed(np.zeros((6, 2, 2, 2)))
 
     @given(seed=st.integers(0, 50))
     @settings(max_examples=15)
     def test_inverse_property(self, seed):
-        g = random_spd(shape=(2, 2, 2), seed=seed)
+        g = to_packed(random_spd(shape=(2, 2, 2), seed=seed))
         inv = sym_inverse(g)
-        prod = np.einsum("ik...,kj...->ij...", g, inv)
+        prod = np.einsum("ik...,kj...->ij...", to_full(g), to_full(inv))
         np.testing.assert_allclose(prod, identity_metric((2, 2, 2)),
                                    atol=1e-10)
 
@@ -148,10 +172,15 @@ class TestStencils:
         np.testing.assert_array_equal(g[2], deriv1(e, 2, self.h))
 
     def test_hessian_symmetric(self):
+        """One packed slot per symmetric pair (xx, xy, xz, yy, yz, zz)."""
         e = self._ext(self.f)
         h = hessian(e, (self.h,) * 3)
-        np.testing.assert_array_equal(h[0, 1], h[1, 0])
-        assert h.shape[:2] == (3, 3)
+        assert h.shape[0] == 6
+        for p, (a, b) in enumerate(SYM_INDEX):
+            np.testing.assert_array_equal(
+                h[p], deriv_mixed(e, a, b, self.h, self.h))
+        full = to_full(h)
+        np.testing.assert_array_equal(full[0, 1], full[1, 0])
 
     def test_convergence_order_two(self):
         errs = []
@@ -219,8 +248,10 @@ class TestFourthOrder:
     def test_hessian_order4_symmetric(self):
         f, *_ , h = self._field(16)
         e = self._ext(f, 4)
-        hes = hessian(e, (h, h, h), 4)
+        hes = to_full(hessian(e, (h, h, h), 4))
         np.testing.assert_array_equal(hes[0, 2], hes[2, 0])
+        np.testing.assert_array_equal(
+            hes[0, 2], deriv_mixed(e, 0, 2, h, h, 4))
 
     def test_unknown_order_rejected(self):
         f, *_, h = self._field(16)

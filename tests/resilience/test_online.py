@@ -8,7 +8,9 @@ loads on nobody but the replacement, and shrink must redistribute the
 domain and converge to the same physics (modulo reduction order).
 """
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -141,6 +143,24 @@ class TestRespawn:
         assert rec.replacements == (1,)
         # only the replacement touched the checkpoint directory
         assert ckpt.load_counts == {1: 1}
+
+    def test_respawned_job_frees_its_transport(self, tmp_path):
+        """The spawn hook works during the run and is dropped after it:
+        with the cyclic collector off, the transport of a job that
+        respawned a killed rank goes with its last reference."""
+        clean, *_ = _run_toy(3)
+        gc.disable()
+        try:
+            got, tr, _, injector = _run_toy(
+                3, ckpt_dir=tmp_path, kill=(1, 3), spares=1)
+            assert injector.kill_fired
+            assert np.array_equal(got, clean)
+            assert tr.repairs[0].mode == "respawn"
+            alive = weakref.ref(tr)
+            del tr, injector
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_rolled_back_is_replacement_plus_neighbors(self, tmp_path):
         _, tr, ckpt, _ = _run_toy(

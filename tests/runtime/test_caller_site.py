@@ -5,15 +5,19 @@ sanitized borrow.  It walks the live frames and reads no source.  The
 reference below stamps the way the runtime once did, through
 ``traceback.extract_stack``, which checks the line cache (an
 ``os.stat``) of every frame's file; the walk must give the same string.
+Both name a file of the ``repro`` package relative to the directory
+that holds the package, so a site does not depend on the checkout.
 """
 
 import _thread
 import linecache
+import os
 import sys
 import traceback
 
 import numpy as np
 
+import repro
 from repro.obs.tracer import Tracer
 from repro.runtime import ParallelJob, Transport, sanitize
 from repro.runtime import buffers as buffers_module
@@ -22,6 +26,10 @@ from repro.runtime.sanitize import caller_site
 
 RUNTIME = ("/repro/runtime/",)
 
+#: the directory that holds the ``repro`` package, as a path prefix
+CHECKOUT = os.path.dirname(os.path.dirname(repro.__file__)).replace(
+    "\\", "/") + "/"
+
 
 def extract_stack_site(skip_fragments=RUNTIME):
     """The reference stamp for the caller's stack, its own frame first."""
@@ -29,6 +37,8 @@ def extract_stack_site(skip_fragments=RUNTIME):
         fname = frame.filename.replace("\\", "/")
         if any(frag in fname for frag in skip_fragments):
             continue
+        if fname.startswith(CHECKOUT + "repro/"):
+            fname = os.path.relpath(fname, CHECKOUT).replace("\\", "/")
         return f"{fname}:{frame.lineno} in {frame.name}"
     return "<unknown site>"
 
@@ -96,15 +106,37 @@ class TestAgainstExtractStack:
         walk, reference = both(("/repro/",))
         assert walk == reference
         assert walk.endswith(" in both")
-        # Skipping nothing names the stamping frame itself.
+        # Skipping nothing names the stamping frame itself, relative to
+        # the checkout.
         own = caller_site(())
-        assert own.startswith(sanitize.__file__.replace("\\", "/") + ":")
+        assert own.startswith("repro/runtime/sanitize.py:")
         assert own.endswith(" in caller_site")
 
     def test_backslash_paths(self):
         walk, reference = WINDOWS_APP["step"](WINDOWS_LAYER["send"],
                                               RUNTIME)
         assert walk == reference == "C:/work/app/driver.py:2 in step"
+
+
+def test_sites_do_not_depend_on_the_checkout(monkeypatch):
+    """One source file of the package, compiled under two checkouts,
+    stamps one site; a file outside the package keeps its path."""
+    sites = []
+    try:
+        for root in ("/tmp/checkout-a/src", r"D:\builds\b"):
+            parent = root.replace("\\", "/") + "/"
+            monkeypatch.setattr(sanitize, "_PACKAGE_PARENT", parent)
+            sanitize._site_file.cache_clear()
+            app = _compiled(parent + "repro/apps/demo/driver.py",
+                            "def step(send, skip):\n"
+                            "    return send(skip)\n")
+            walk, _ = app["step"](LAYER["send"], RUNTIME)
+            sites.append(walk)
+            outside, _ = WINDOWS_APP["step"](LAYER["send"], RUNTIME)
+            assert outside == "C:/work/app/driver.py:2 in step"
+    finally:
+        sanitize._site_file.cache_clear()
+    assert sites == ["repro/apps/demo/driver.py:2 in step"] * 2
 
 
 def _send_recv_reclaim(comm):

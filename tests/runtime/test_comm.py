@@ -1,5 +1,8 @@
 """Communicator: point-to-point, collectives, exchange semantics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -210,6 +213,40 @@ class TestJobMechanics:
 
         with pytest.raises(RuntimeError, match="rank 1 failed"):
             ParallelJob(2).run(prog)
+
+    def test_finished_job_frees_its_transport(self):
+        """No reference cycle outlives a thread job: with the cyclic
+        collector off, the transport goes with its last reference."""
+        def prog(comm):
+            comm.send(np.arange(4.0) + comm.rank, dest=1 - comm.rank)
+            got = comm.recv(source=1 - comm.rank)
+            comm.barrier()
+            return float(got.sum())
+
+        gc.disable()
+        try:
+            tp = Transport(2)
+            assert ParallelJob(2, transport=tp).run(prog) == [10.0, 6.0]
+            alive = weakref.ref(tp)
+            del tp
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_job_drops_its_hooks_on_return(self):
+        tp = Transport(2)
+        job = ParallelJob(2, transport=tp, spares=1)
+        job.run(lambda comm: comm.barrier())
+        assert tp.dead_callbacks == []
+
+        def prog(comm):
+            if comm.rank == 1:
+                raise ValueError("boom")
+            comm.barrier()
+
+        with pytest.raises(RuntimeError, match="rank 1 failed"):
+            job.run(prog)
+        assert tp.dead_callbacks == []
 
     def test_invalid_nprocs(self):
         with pytest.raises(ValueError):
