@@ -32,12 +32,20 @@ hands the application a read-only zero-copy view whose finalizer
 releases the segment, mirroring the thread backend's frozen-borrow
 ownership protocol (PR 4).
 
-Start-up
---------
+Start-up and exit
+-----------------
 Each rank's program (function, arguments and config, one pickle) waits
 in a shared-memory segment, so the spawned ``Process`` carries only the
 segment's name and every rank starts at once; ranks share the cores'
-BLAS threads (:func:`_blas_threads`).
+BLAS threads (:func:`_blas_threads`).  The ``Process`` target is
+:func:`repro._bootstrap.rank_main`, which imports only the standard
+library.  Ahead of the program, each segment carries the parent's code
+for every ``repro`` module that an earlier rank of this parent compiled
+from source (:class:`_CodeCache`, fed by the ranks' exit reports).  From
+a parent's second job on, a rank unmarshals that code instead of
+compiling it; a module whose source changed since compiles as usual.  A
+rank whose program returns runs the exit hooks a normal exit runs, then
+leaves through ``os._exit(0)`` without interpreter teardown.
 
 Failure semantics
 -----------------
@@ -61,6 +69,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import marshal
 import os
 import pickle
 import queue as queue_mod
@@ -71,6 +80,7 @@ import time
 import uuid
 import weakref
 from dataclasses import dataclass
+from importlib.machinery import SourceFileLoader
 from multiprocessing.connection import wait
 from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
@@ -78,6 +88,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .._bootstrap import (compiled_modules, interpreter_tag, rank_main,
+                          stamp, untrack, write_program)
 from ..obs.events import CAT_BUFFER, CAT_HEALTH, TraceEvent
 from ..obs.tracer import Tracer
 from .comm import Comm, OnlineRecoveryError, ReplayInfo, _Shared
@@ -112,22 +124,6 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 _ENV_LOCK = threading.Lock()
 
 
-def _untrack(name: str) -> None:
-    """Detach one segment from this process's resource tracker.
-
-    Every ``SharedMemory`` — created or merely attached — registers
-    itself with the resource tracker the spawned ranks share with the
-    parent, which would double-unlink (and warn about) segments whose
-    lifetime is managed explicitly by the transport.  Best-effort:
-    tracker internals differ across Python patch levels.
-    """
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(f"/{name}", "shared_memory")
-    except Exception:
-        pass
-
-
 def _release_segment(seg) -> None:
     """Close and unlink one segment, tolerating racy double-release."""
     try:
@@ -159,7 +155,7 @@ def _ship(obj: Any, tp: "ProcTransport") -> Any:
             name = tp.shm_prefix + label
             tp._ship_seq += 1
             seg = SharedMemory(name=name, create=True, size=arr.nbytes)
-            _untrack(name)
+            untrack(name)
             view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
             view[...] = arr
             del view
@@ -247,31 +243,58 @@ def _release_wire(wire: Any) -> None:
         _release_wire(wire[1])
 
 
-def _write_program(name: str, program: tuple) -> None:
-    """Pickle one rank's program into a new segment (parent side); the
-    rank only attaches to it, and the job's teardown sweep unlinks it."""
+def _write_program(name: str, table: bytes, program: tuple) -> None:
+    """Pickle one rank's program into a new segment, behind the job's
+    code table (parent side); the rank only attaches to it."""
     try:
         data = pickle.dumps(program)
     except Exception as exc:
         raise BackendError(
             f"process backend requires a picklable rank function and "
             f"arguments: {exc!r}") from exc
-    seg = SharedMemory(name=name, create=True, size=len(data))
-    _untrack(name)
-    seg.buf[:len(data)] = data
-    seg.close()
+    write_program(name, table, data)
 
 
-def _read_program(name: str) -> tuple:
-    """Unpickle this rank's program from its segment (rank side)."""
-    seg = SharedMemory(name=name)
-    # Attaching registered the segment, and the rank never unlinks it:
-    # unregister, or the tracker reports it leaked at shutdown.
-    _untrack(name)
-    try:
-        return pickle.loads(seg.buf)
-    finally:
-        seg.close()
+class _CodeCache:
+    """Compiled code of the ``repro`` modules process ranks import.
+
+    Parent-side state: the union of every rank's exit-report list of
+    modules it compiled from source, and each module's code from its
+    loader's ``get_code``, keyed by path, ``st_mtime_ns`` and
+    ``st_size``.  Campaign pool threads run jobs concurrently.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._paths: dict[str, str] = {}
+        self._code: dict[str, tuple] = {}
+
+    def note(self, modules: dict[str, str]) -> None:
+        with self._lock:
+            self._paths.update(modules)
+
+    def table(self) -> bytes:
+        """The code table for one job's program segments; empty until
+        a rank has reported, so a one-job run compiles nothing here."""
+        with self._lock:
+            for name, path in self._paths.items():
+                now = stamp(path)
+                key = None if now is None else (path, *now)
+                if key is not None and self._code.get(name, ())[:3] == key:
+                    continue
+                self._code.pop(name, None)
+                if key is None:
+                    continue
+                try:
+                    code = SourceFileLoader(name, path).get_code(name)
+                except (ImportError, OSError, SyntaxError, ValueError):
+                    continue         # the rank meets the same error
+                self._code[name] = (*key, marshal.dumps(code))
+            return pickle.dumps((interpreter_tag(), self._code))
+
+
+#: this process's code cache (empty, and unused, in a rank)
+_CODE = _CodeCache()
 
 
 @contextlib.contextmanager
@@ -699,6 +722,7 @@ def _build_report(tp: ProcTransport, fn: Callable,
         "trace_path": None,
         "clocks_t": None,
         "body_seconds": None,
+        "modules": compiled_modules(),
     }
     inj = tp.injector
     if inj is not None:
@@ -729,10 +753,11 @@ def _flush_and_exit(parent_q, code: int) -> None:
     os._exit(code)
 
 
-def _worker_main(rank: int, program: str, inboxes: list,
+def _worker_main(rank: int, program: tuple, inboxes: list,
                  parent_q) -> None:
-    """Entry point of one rank process (spawn start method)."""
-    fn, extra, cfg = _read_program(program)
+    """Run one rank's program, ``(fn, args, config)``, and report back
+    (called by :func:`repro._bootstrap.rank_main`)."""
+    fn, extra, cfg = program
     inherited = _ledgers(fn, cfg.injector)
     tp = ProcTransport(rank, cfg.nprocs, inboxes, parent_q,
                        shm_prefix=cfg.shm_prefix, epoch=cfg.epoch,
@@ -948,12 +973,12 @@ def run_process_job(job, fn: Callable, args: tuple,
             advance_clocks=getattr(tracer, "advance_clocks", False))
         extra = rank_args[rank] if rank_args is not None else args
         name = f"{shm_prefix}p{next(program_ids)}"
-        _write_program(name, (fn, extra, cfg))
+        _write_program(name, table, (fn, extra, cfg))
         return name
 
     def launch(rank: int, program: str):
         p = ctx.Process(
-            target=_worker_main,
+            target=rank_main,
             args=(rank, program, inboxes, parent_q),
             name=f"repro-rank{rank}", daemon=True)
         with _blas_threads(nprocs):
@@ -979,6 +1004,7 @@ def run_process_job(job, fn: Callable, args: tuple,
 
     def take_report(rank: int, report: dict) -> None:
         reported.add(rank)
+        _CODE.note(report["modules"])
         _merge_report(job, fn, report)
         if report.get("body_seconds") is not None:
             tp.body_seconds[rank] = report["body_seconds"]
@@ -1041,6 +1067,8 @@ def run_process_job(job, fn: Callable, args: tuple,
                    ("repaired", repair_epoch, record, spares_left))
 
     try:
+        # One table serves the job's initial ranks and its replacements.
+        table = _CODE.table()
         # Every initial pickle is made before the first start: a rank
         # program that cannot pickle fails here, before any process runs.
         programs = [stage(r, 0, spares_left, None) for r in range(nprocs)]

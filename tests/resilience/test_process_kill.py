@@ -19,8 +19,9 @@ from repro.apps.lbmhd.parallel import run_parallel
 from repro.resilience.chaos import run_kill_chaos
 from repro.resilience.checkpoint import Checkpointer
 from repro.resilience.online import OnlineRunner
-from repro.runtime import BackendError, ParallelJob, Transport
+from repro.runtime import BackendError, ParallelJob, Transport, process_backend
 from repro.runtime.faults import FaultInjector, FaultPlan
+from tests.runtime._rank_modules import BOOT_MODULES, served_modules
 
 NCELLS = 8  # per-rank state size for the ring program
 
@@ -72,6 +73,14 @@ class _SigkillRing:
         return x.copy()
 
 
+class _ServedRing(_SigkillRing):
+    """The SIGKILL ring, also returning what the parent's code table
+    served this rank."""
+
+    def __call__(self, comm):
+        return super().__call__(comm), served_modules(comm)
+
+
 class TestInjectorKill:
     def test_lbmhd_injected_kill_respawns_and_matches_thread(self):
         nprocs, nsteps = 4, 5
@@ -116,6 +125,29 @@ class TestSigkill:
         rec = tp.repairs[0]
         assert rec.mode == "respawn"
         assert rec.dead == (1,)
+
+    def test_replacement_starts_from_the_parents_code(self, tmp_path,
+                                                      monkeypatch):
+        # A fresh code cache: the first job fills it, the second job's
+        # replacement must start from it like the initial ranks.
+        monkeypatch.setattr(process_backend, "_CODE",
+                            process_backend._CodeCache())
+        flag = str(tmp_path / "killed.flag")
+        first = ParallelJob(2, backend="process").run(
+            _ServedRing(3, str(tmp_path / "ck0"), flag))
+        tp = Transport(2, timeout=10.0)
+        out = ParallelJob(2, transport=tp, spares=1, backend="process").run(
+            _ServedRing(3, str(tmp_path / "ck1"), flag, kill_rank=1,
+                        kill_step=2))
+        assert os.path.exists(flag), "the kill must actually have fired"
+        assert [rec.dead for rec in tp.repairs] == [(1,)]
+        for (x0, _), (x1, _) in zip(first, out):
+            assert np.array_equal(x0, x1)
+        compiled = set(first[1][1])
+        replacement = out[1][1]
+        assert compiled <= set(replacement)
+        assert {m for m, s in replacement.items() if s} == \
+            compiled - BOOT_MODULES
 
 
 class TestShrinkRejected:

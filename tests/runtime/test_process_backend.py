@@ -5,6 +5,8 @@ reference (pytest imports this module as ``tests.runtime.<name>`` and the
 parent's ``sys.path`` travels with each worker).
 """
 
+import importlib.util
+import marshal
 import multiprocessing
 import multiprocessing.reduction
 import os
@@ -19,15 +21,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro._bootstrap import interpreter_tag
 from repro.apps import APPS
 from repro.machine.platforms import ES
 from repro.obs.tracer import Tracer
 from repro.resilience.checkpoint import Checkpointer
 from repro.runtime import BackendError, ParallelJob, Transport
+from repro.runtime import process_backend
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.process_backend import (BLAS_THREAD_VARS, SHM_MIN_BYTES,
                                            ProcTransport)
 from repro.runtime.virtual_time import VirtualClocks
+from tests.runtime._rank_modules import BOOT_MODULES, served_modules
 
 _ROOT = Path(__file__).resolve().parents[2]
 
@@ -67,6 +72,29 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
 
 def _shm_entries() -> set:
     return set(Path("/dev/shm").glob("repro*"))
+
+
+@pytest.fixture
+def code_cache(monkeypatch):
+    """A parent code cache that no earlier job has filled."""
+    cache = process_backend._CodeCache()
+    monkeypatch.setattr(process_backend, "_CODE", cache)
+    return cache
+
+
+@pytest.fixture
+def exit_codes(monkeypatch):
+    """Rank process name -> exit code, recorded as the parent joins."""
+    codes = {}
+    join = BaseProcess.join
+
+    def recording_join(proc, timeout=None):
+        join(proc, timeout)
+        if proc.exitcode is not None:
+            codes[proc.name] = proc.exitcode
+
+    monkeypatch.setattr(BaseProcess, "join", recording_join)
+    return codes
 
 
 def _primitive_ring(comm):
@@ -157,9 +185,11 @@ class TestStartup:
             assert [m for m in mods if any(
                 m == o or m.startswith(o + ".") for o in offline)] == []
 
-    def test_spawn_pickles_never_carry_the_program(self, monkeypatch):
+    def test_spawn_pickles_never_carry_the_program(self, monkeypatch,
+                                                   code_cache):
         # A Process pickle above the 64 KiB pipe buffer makes start()
         # wait until the child has imported its modules and read it.
+        # The second job also ships a code table.
         sizes = []
         dump = multiprocessing.reduction.dump
 
@@ -172,9 +202,11 @@ class TestStartup:
         monkeypatch.setattr(multiprocessing.reduction, "dump",
                             measured_dump)
         big = np.arange(1 << 20, dtype=np.float64)        # 8 MiB
-        out = ParallelJob(2, backend="process").run(_array_sum, big)
-        assert out == [float(big.sum())] * 2
-        assert len(sizes) == 2
+        for _ in range(2):
+            out = ParallelJob(2, backend="process").run(_array_sum, big)
+            assert out == [float(big.sum())] * 2
+        assert len(code_cache.table()) > 64 * 1024
+        assert len(sizes) == 4
         assert max(sizes) < 64 * 1024
 
     def test_ranks_get_one_blas_thread_per_core(self, monkeypatch):
@@ -205,6 +237,142 @@ class TestStartup:
         for n, out in zip(sizes, outs):
             assert out == [(str(max(1, usable // n)),) * 3] * n
         assert dict(os.environ) == before
+
+
+#: a module every rank program imports after the table is installed
+_VICTIM = "repro.runtime.comm"
+
+
+class _FixedTable:
+    """Stands in for the parent's code cache: ships one given table."""
+
+    def __init__(self, entries: dict, tag: tuple | None = None):
+        self._blob = pickle.dumps((tag or interpreter_tag(), entries))
+
+    def table(self) -> bytes:
+        return self._blob
+
+    def note(self, modules: dict) -> None:
+        pass
+
+
+def _marked_entry(stale: bool) -> dict:
+    """A table entry for :data:`_VICTIM` whose code also sets a mark,
+    stamped with its source file's mtime (one ns off if ``stale``)."""
+    path = importlib.util.find_spec(_VICTIM).origin
+    st = os.stat(path)
+    code = compile(Path(path).read_text() + "\nSHIPPED_MARK = True\n",
+                   path, "exec")
+    return {_VICTIM: (path, st.st_mtime_ns - stale, st.st_size,
+                      marshal.dumps(code))}
+
+
+def _ring_with_victim(comm):
+    victim = sys.modules[_VICTIM]
+    return (_primitive_ring(comm)[1:], served_modules(comm)[_VICTIM],
+            getattr(victim, "SHIPPED_MARK", False))
+
+
+class TestCodeShipping:
+    def test_second_job_serves_what_the_first_compiled(self, code_cache):
+        first = ParallelJob(2, backend="process").run(served_modules)
+        second = ParallelJob(2, backend="process").run(served_modules)
+        for before, after in zip(first, second):
+            assert "repro.runtime.process_backend" in before
+            assert not any(before.values())
+            assert set(after) == set(before)
+            assert {m for m, s in after.items() if s} == \
+                set(before) - BOOT_MODULES
+
+    @pytest.mark.parametrize("case", ["fresh", "stale", "magic", "optimize"])
+    def test_only_a_matching_table_is_served(self, monkeypatch, case):
+        magic, optimize = interpreter_tag()
+        tag = {"magic": (b"\xff\xff\r\n", optimize),
+               "optimize": (magic, optimize + 1)}.get(case)
+        monkeypatch.setattr(process_backend, "_CODE",
+                            _FixedTable(_marked_entry(case == "stale"), tag))
+        out = ParallelJob(2, backend="process").run(_ring_with_victim)
+        ref = ParallelJob(2).run(_primitive_ring)
+        assert [o[0] for o in out] == [r[1:] for r in ref]
+        served = case == "fresh"
+        assert [o[1:] for o in out] == [(served, served)] * 2
+
+
+def _touch(path: str) -> None:
+    Path(path).touch()
+
+
+def _touch_after(path: str, first: str) -> None:
+    """Touch ``path`` only if ``first`` already exists."""
+    if os.path.exists(first):
+        _touch(path)
+
+
+class _TouchOnDel:
+    def __init__(self, path: str):
+        self.path = path
+
+    def __del__(self):
+        _touch(self.path)
+
+
+def _register_exit_hooks(comm, out_dir: str) -> int:
+    import atexit
+    from concurrent.futures import ThreadPoolExecutor
+    from multiprocessing import util
+
+    global _TEARDOWN_WITNESS, _POOL
+    stem = os.path.join(out_dir, "{}-r%d" % comm.rank)
+    # A normal exit runs multiprocessing's finalizers before atexit.
+    atexit.register(_touch_after, stem.format("atexit"),
+                    stem.format("finalize"))
+    util.Finalize(None, _touch, args=(stem.format("finalize"),),
+                  exitpriority=1)
+    # Collected only when interpreter teardown clears this module.
+    _TEARDOWN_WITNESS = _TouchOnDel(stem.format("teardown"))
+    # A live executor's idle worker is a non-daemon thread; only the
+    # threading exit hooks of a normal exit stop it.
+    _POOL = ThreadPoolExecutor(1)
+    _POOL.submit(int).result()
+    return comm.rank
+
+
+class _FailsInRank:
+    """Pickles in the parent; unpickling it in a rank raises."""
+
+    def __reduce__(self):
+        return (_explode, ())
+
+
+def _explode():
+    raise RuntimeError("start-up failure in the rank")
+
+
+class TestQuickExit:
+    def test_exit_hooks_run_and_teardown_is_skipped(self, tmp_path,
+                                                    exit_codes):
+        shm_before = _shm_entries()
+        out = ParallelJob(2, backend="process").run(_register_exit_hooks,
+                                                    str(tmp_path))
+        assert out == [0, 1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "atexit-r0", "atexit-r1", "finalize-r0", "finalize-r1"]
+        assert exit_codes == {"repro-rank0": 0, "repro-rank1": 0}
+        assert multiprocessing.active_children() == []
+        assert _shm_entries() <= shm_before
+
+    def test_startup_failure_exits_nonzero_with_traceback(self, capfd,
+                                                          exit_codes):
+        shm_before = _shm_entries()
+        with pytest.raises(RuntimeError, match="rank 0 failed"):
+            ParallelJob(1, backend="process").run(_array_sum,
+                                                  _FailsInRank())
+        assert exit_codes == {"repro-rank0": 1}
+        err = capfd.readouterr().err
+        assert "Traceback" in err, err
+        assert "start-up failure in the rank" in err, err
+        assert multiprocessing.active_children() == []
+        assert _shm_entries() <= shm_before
 
 
 class TestTeardown:
